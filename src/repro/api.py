@@ -226,15 +226,14 @@ def run_sweep(
     budget_overrides: Optional[
         Mapping[Tuple[str, str, str], int]
     ] = None,
-    parallel_cells: int = 1,
-    schedule: str = "static",
     journal_dir: Optional[str] = None,
     resume: bool = False,
     progress: Optional[Callable[..., None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> SweepReport:
     """One campaign grid (the ``sweep`` subcommand). Axes default to
-    the options bag's scalar coordinates (a 1x1x1 grid).
+    the options bag's scalar coordinates (a 1x1x1 grid); every cell's
+    shards run on one pool of ``workers`` processes.
     ``should_stop`` is the cooperative cancel/deadline signal; when it
     fires the sweep raises :class:`CampaignCancelled` (journaled unit
     checkpoints survive for a later resume)."""
@@ -252,8 +251,6 @@ def run_sweep(
     return SweepRunner(
         spec,
         cache_dir=options.cache_dir,
-        max_parallel_cells=parallel_cells,
-        schedule=schedule,
         journal_dir=journal_dir,
         resume=resume,
     ).run(progress=progress, should_stop=should_stop)

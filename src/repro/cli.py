@@ -28,8 +28,9 @@ collections (pure-function results keyed by program/input/contract, see
 :mod:`repro.core.trace_cache`), ``--cache-entries`` bounds the LRU,
 ``--cache-dir`` selects the persistent cross-process tier and
 ``--cache-max-bytes`` bounds its disk footprint (LRU garbage
-collection). ``sweep --parallel-cells N`` executes up to N grid cells
-concurrently without changing any deterministic cell report.
+collection). ``campaign`` and ``sweep`` run their shards on one pool
+of ``--workers`` processes; for budget-bound full-mode runs the pool
+size never changes a deterministic report, only ``--shards`` does.
 
 All fuzzing subcommands also accept ``--corpus-dir``: every confirmed
 violation (and every minimized counterexample) is persisted into the
@@ -280,25 +281,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deterministic cell seed derived from ``--seed`` and the cell's
     (arch, contract) coordinates — cells along the cpu axis replay the
     identical test battery, so with ``--cache-dir`` they share contract
-    traces through the persistent cache. ``--schedule work-stealing``
-    drains the grid as one shared queue of shard-sized units (byte-
-    identical reports, better wall clock on heterogeneous grids) and is
-    what ``--journal``/``--resume`` checkpointing requires. Prints the
-    per-arch violation matrix; ``--json`` additionally writes the full
-    report. Exits 1 when any cell surfaced a violation, like ``fuzz``.
+    traces through the persistent cache. All cells' shard-sized units
+    drain from one shared queue on a pool of ``--workers`` processes, so
+    idle workers take pending shards of expensive cells.
+    ``--journal``/``--resume`` checkpoint and replay completed units.
+    Prints the per-arch violation matrix; ``--json`` additionally writes
+    the full report. Exits 1 when any cell surfaced a violation, like
+    ``fuzz``.
     """
     options = _engine_options(args, axes=True)
     journal_dir, resume = _journal_selection(args)
     cells = len(args.arch) * len(args.contract) * len(args.cpu)
-    placement = (
-        f"work-stealing pool of {max(args.workers, args.parallel_cells)}"
-        if args.schedule == "work-stealing"
-        else f"up to {args.parallel_cells} cell(s) at a time, "
-        f"{args.workers} worker(s) per cell"
-    )
     print(f"sweeping {cells} cells "
           f"({len(args.arch)} arch x {len(args.contract)} contract x "
-          f"{len(args.cpu)} cpu), {placement}")
+          f"{len(args.cpu)} cpu) on a pool of {args.workers} worker(s)")
 
     def progress(cell, campaign):
         print(f"  {cell.label}: {campaign.merged.summary()}")
@@ -313,8 +309,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             shards=args.shards,
             mode="first-violation" if args.first_violation else "full",
             total_budget=args.total_budget,
-            parallel_cells=args.parallel_cells,
-            schedule=args.schedule,
             journal_dir=journal_dir,
             resume=resume,
             progress=progress,
@@ -564,30 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "-w", "--workers", type=_positive_int, default=1,
-        help="worker processes per grid cell",
-    )
-    sweep_parser.add_argument(
-        "--parallel-cells", type=_positive_int, default=1,
-        help="grid cells to execute concurrently (cell reports are "
-        "byte-identical for every value; shard workers per cell are "
-        "scaled down so cells x workers never oversubscribes the host)",
+        help="worker processes in the pool that runs every cell's shards",
     )
     sweep_parser.add_argument(
         "--shards", type=_positive_int, default=None,
-        help="seed/budget shards per cell (default: one per worker)",
+        help="seed/budget shards per cell (default: one per worker); fix "
+        "this while varying --workers for identical cell reports",
     )
     sweep_parser.add_argument(
         "--first-violation", action="store_true",
         help="cancel each cell's remaining shards at its first violation",
-    )
-    sweep_parser.add_argument(
-        "--schedule", default="static",
-        choices=("static", "work-stealing"),
-        help="cell scheduler: 'static' fans whole cells out over "
-        "--parallel-cells processes; 'work-stealing' drains all cells' "
-        "shard-sized units from one shared queue, so workers finishing "
-        "cheap cells steal pending units of expensive ones (reports "
-        "are byte-identical either way)",
     )
     _add_journal_options(sweep_parser)
     sweep_parser.add_argument("--json", default=None, metavar="PATH",

@@ -21,22 +21,26 @@ out over a pool of worker processes:
   found after the fewest test cases — with a stable tie-break on
   (inputs until found, shard index).
 
-Workers are plain ``multiprocessing`` processes (fork where available,
-spawn otherwise); every shard builds its own :class:`Fuzzer`, so no
-state is shared and no locks are needed. Shard results travel back as
-pickled reports.
+Shards run as units on the one process scheduler,
+:func:`repro.core.sweep.run_units`: a campaign is a one-cell grid on a
+pool of ``workers`` long-lived processes (a pool of one runs the shards
+inline). Every shard builds its own :class:`Fuzzer`, so no state is
+shared and no locks are needed; shard results travel back as pickled
+reports, and a worker that dies mid-shard has its shard requeued onto a
+fresh process.
 
 - **Early cancel.** ``mode="first-violation"`` stops the campaign at the
-  first confirmed violation instead of draining the full budget: a
-  shared cancel event is polled by every shard between measurement
-  batches (at most one diversity round of test cases apart; every test
-  case when ``batch_measurements`` is off), and the runner sets it as
-  soon as a finished shard reports a violation. Shards that completed
-  before the signal produce exactly the reports they would in
-  ``mode="full"`` (deterministic merging for completed shards);
-  cancelled shards return partial reports flagged ``cancelled``. How far an interrupted shard got depends on
-  scheduling, so first-violation campaigns trade the full mode's
-  merged-report invariance for wall-clock savings.
+  first confirmed violation instead of draining the full budget: once a
+  shard reports a violation, shards not yet started are skipped and
+  running ones are told to stop at their next measurement batch (at
+  most one diversity round of test cases apart; every test case when
+  ``batch_measurements`` is off). Shards that completed before the
+  signal produce exactly the reports they would in ``mode="full"``;
+  cancelled shards return partial reports flagged ``cancelled``. How
+  far an interrupted shard got depends on scheduling, so
+  first-violation campaigns trade the full mode's merged-report
+  invariance for wall-clock savings. With one worker the shards run in
+  index order and every shard after the first violating one is skipped.
 
 - **Checkpoint/resume.** With a ``journal_dir``, every completed shard
   report is published atomically to a :class:`~repro.core.journal.
@@ -60,13 +64,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FuzzerConfig
-from repro.core.fuzzer import Fuzzer, FuzzingReport
+from repro.core.fuzzer import FuzzingReport
 from repro.core.journal import CampaignJournal, campaign_payload
 from repro.core.patterns import PatternCoverage
 from repro.core.trace_cache import program_fingerprint
@@ -85,16 +88,6 @@ class CampaignCancelled(RuntimeError):
     checkpoints, so a journaled campaign cancelled this way resumes
     exactly like one killed by the OS.
     """
-
-
-def default_start_context():
-    """The multiprocessing context the engines agree on: fork where the
-    platform offers it (cheap, inherits the loaded catalog), spawn
-    otherwise. One definition, shared by campaign and sweep runners."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 def derive_shard_seed(base_seed: int, shard_index: int) -> int:
@@ -131,19 +124,6 @@ def shard_fuzzer_config(
         seed=derive_shard_seed(config.seed, shard_index),
         num_test_cases=budgets[shard_index],
     )
-
-
-def _run_shard(task) -> Tuple[int, FuzzingReport]:
-    """Worker entry point: run one shard's fuzzing campaign.
-
-    ``task`` is ``(shard_index, config)`` or ``(shard_index, config,
-    cancel_event)``; the event (a picklable ``multiprocessing.Manager``
-    proxy) is polled between test cases for first-violation campaigns.
-    """
-    shard_index, config = task[0], task[1]
-    cancel_event = task[2] if len(task) > 2 else None
-    should_stop = cancel_event.is_set if cancel_event is not None else None
-    return shard_index, Fuzzer(config).run(should_stop=should_stop)
 
 
 def merge_reports(
@@ -330,7 +310,6 @@ class CampaignRunner:
         config: FuzzerConfig,
         workers: int = 4,
         shards: Optional[int] = None,
-        start_method: Optional[str] = None,
         mode: str = "full",
         journal_dir: Optional[str] = None,
         resume: bool = False,
@@ -342,7 +321,6 @@ class CampaignRunner:
         self.shards = shards if shards is not None else workers
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        self.start_method = start_method
         if mode not in self.MODES:
             raise ValueError(
                 f"unknown campaign mode {mode!r}; expected one of {self.MODES}"
@@ -359,230 +337,50 @@ class CampaignRunner:
         self.journal_dir = journal_dir
         self.resume = resume
 
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        return default_start_context()
-
     def run(self, should_stop=None) -> CampaignReport:
         """Run the campaign; ``should_stop`` is an optional zero-argument
         callable polled while shards run (the service's cancel/deadline
         signal). When it fires mid-run the campaign raises
-        :class:`CampaignCancelled` after its in-flight shards stop at
-        their next measurement-batch boundary — already-journaled
-        checkpoints survive, so a cancelled journaled campaign resumes
-        like a killed one."""
-        start = time.perf_counter()
-        if self.mode == "first-violation":
-            results = self._run_first_violation(should_stop)
-        else:
-            results = self._run_full(should_stop)
-        wall_seconds = time.perf_counter() - start
-        results.sort(key=lambda item: item[0])
-        shard_reports = [report for _, report in results]
-        merged, winner = merge_reports(shard_reports)
-        return CampaignReport(
-            merged=merged,
-            shard_reports=shard_reports,
-            winning_shard=winner,
-            workers=self.workers,
-            wall_seconds=wall_seconds,
-            mode=self.mode,
-        )
+        :class:`CampaignCancelled` — already-journaled checkpoints
+        survive, so a cancelled journaled campaign resumes like a killed
+        one."""
+        # the sweep module builds on this one, so import at call time
+        from repro.core.sweep import run_units
 
-    def _run_full(self, should_stop=None) -> List[Tuple[int, FuzzingReport]]:
-        """Full-budget mode, optionally checkpointing each completed
-        shard to the journal and replaying finished shards on resume."""
+        start = time.perf_counter()
         journal: Optional[CampaignJournal] = None
-        replayed: Dict[int, FuzzingReport] = {}
         if self.journal_dir is not None:
             journal = CampaignJournal(self.journal_dir)
             journal.open(
                 campaign_payload(self.config, self.shards, self.mode),
                 resume=self.resume,
             )
-            if self.resume:
-                replayed = {
-                    shard: report
-                    for (cell, shard), report in journal.completed().items()
-                    if cell == 0 and 0 <= shard < self.shards
-                }
-        tasks = [
-            (index, shard_fuzzer_config(self.config, index, self.shards))
+        config = self.config
+        label = (
+            f"campaign {config.arch}/{config.contract_name}/"
+            f"{config.cpu_preset}"
+        )
+        units = [
+            shard_fuzzer_config(config, index, self.shards)
             for index in range(self.shards)
-            if index not in replayed
         ]
-        results: List[Tuple[int, FuzzingReport]] = list(replayed.items())
-        if not tasks:
-            return results
-        if self.workers == 1:
-            for index, config in tasks:
-                if should_stop is not None and should_stop():
-                    raise CampaignCancelled(
-                        f"campaign stopped before shard {index} "
-                        f"({len(results)}/{self.shards} shard(s) done)"
-                    )
-                report = Fuzzer(config).run(should_stop=should_stop)
-                if report.cancelled:
-                    raise CampaignCancelled(
-                        f"campaign stopped inside shard {index} "
-                        f"({len(results)}/{self.shards} shard(s) done)"
-                    )
-                if journal is not None:
-                    journal.record(0, index, report)
-                results.append((index, report))
-        elif should_stop is not None:
-            results.extend(
-                self._collect_cancellable(tasks, journal, should_stop)
-            )
-        elif journal is not None:
-            # unordered so each checkpoint lands the moment its shard
-            # finishes, not when the slowest earlier shard does
-            with self._context().Pool(min(self.workers, len(tasks))) as pool:
-                for result in pool.imap_unordered(_run_shard, tasks):
-                    journal.record(0, result[0], result[1])
-                    results.append(result)
-        else:
-            with self._context().Pool(min(self.workers, len(tasks))) as pool:
-                results.extend(pool.map(_run_shard, tasks))
-        return results
-
-    def _collect_cancellable(
-        self, tasks, journal, should_stop
-    ) -> List[Tuple[int, FuzzingReport]]:
-        """Pool fan-out with a cooperative stop signal.
-
-        The parent polls ``should_stop`` while shards run and relays it
-        through a shared Manager event (the same machinery the
-        first-violation early-cancel uses); shards stop at their next
-        measurement-batch boundary. Shards that completed *before* the
-        signal are journaled exactly as in the plain path, then
-        :class:`CampaignCancelled` is raised."""
-        context = self._context()
-        manager = context.Manager()
-        collected: List[Tuple[int, FuzzingReport]] = []
-        stopped = False
-        try:
-            cancel_event = manager.Event()
-            pool_tasks = [
-                (index, config, cancel_event) for index, config in tasks
-            ]
-            with context.Pool(min(self.workers, len(tasks))) as pool:
-                pending = {
-                    pool.apply_async(_run_shard, (task,))
-                    for task in pool_tasks
-                }
-                while pending:
-                    if not stopped and should_stop():
-                        stopped = True
-                        cancel_event.set()
-                    done = {h for h in pending if h.ready()}
-                    for handle in done:
-                        index, report = handle.get()
-                        if not report.cancelled:
-                            if journal is not None:
-                                journal.record(0, index, report)
-                            collected.append((index, report))
-                    pending -= done
-                    if pending and not done:
-                        time.sleep(0.05)
-        finally:
-            manager.shutdown()
-        if stopped:
-            raise CampaignCancelled(
-                f"campaign stopped with {len(collected)} of {self.shards} "
-                "shard(s) completed"
-            )
-        return collected
-
-    def _run_first_violation(
-        self, should_stop=None
-    ) -> List[Tuple[int, FuzzingReport]]:
-        """Run shards with an early-cancel signal set on the first
-        confirmed violation; remaining shards stop at their next
-        test-case boundary instead of draining their budget."""
-        if self.workers == 1:
-            # Inline: run shards in index order and skip the rest outright
-            # once one finds a violation (a skipped shard reports zero
-            # test cases, flagged cancelled).
-            results: List[Tuple[int, FuzzingReport]] = []
-            found = False
-            for index in range(self.shards):
-                if should_stop is not None and should_stop():
-                    raise CampaignCancelled(
-                        f"campaign stopped before shard {index} "
-                        f"({len(results)}/{self.shards} shard(s) done)"
-                    )
-                if found:
-                    results.append(
-                        (index, FuzzingReport(coverage=PatternCoverage(),
-                                              cancelled=True))
-                    )
-                    continue
-                config = shard_fuzzer_config(self.config, index, self.shards)
-                report = Fuzzer(config).run(should_stop=should_stop)
-                if report.cancelled:
-                    raise CampaignCancelled(
-                        f"campaign stopped inside shard {index} "
-                        f"({len(results)}/{self.shards} shard(s) done)"
-                    )
-                results.append((index, report))
-                found = found or report.found
-
-            return results
-
-        context = self._context()
-        manager = context.Manager()
-        try:
-            cancel_event = manager.Event()
-            tasks = [
-                (
-                    index,
-                    shard_fuzzer_config(self.config, index, self.shards),
-                    cancel_event,
-                )
-                for index in range(self.shards)
-            ]
-            if should_stop is not None:
-                # apply_async + polling so the parent can watch the
-                # service's stop signal while shards run; the shared
-                # cancel event doubles as first-violation early-cancel
-                # and cooperative-stop relay.
-                stopped = False
-                results = []
-                with context.Pool(min(self.workers, self.shards)) as pool:
-                    pending = {
-                        pool.apply_async(_run_shard, (task,))
-                        for task in tasks
-                    }
-                    while pending:
-                        if not stopped and should_stop():
-                            stopped = True
-                            cancel_event.set()
-                        done = {h for h in pending if h.ready()}
-                        for handle in done:
-                            result = handle.get()
-                            results.append(result)
-                            if result[1].found and not cancel_event.is_set():
-                                cancel_event.set()
-                        pending -= done
-                        if pending and not done:
-                            time.sleep(0.05)
-                if stopped:
-                    raise CampaignCancelled(
-                        f"campaign stopped with {len(results)} of "
-                        f"{self.shards} shard(s) collected"
-                    )
-                return results
-            with context.Pool(min(self.workers, self.shards)) as pool:
-                results = []
-                for result in pool.imap_unordered(_run_shard, tasks):
-                    results.append(result)
-                    if result[1].found and not cancel_event.is_set():
-                        cancel_event.set()
-        finally:
-            manager.shutdown()
-        return results
+        [shard_reports] = run_units(
+            [(label, units)],
+            self.workers,
+            first_violation=self.mode == "first-violation",
+            journal=journal,
+            resume=self.resume,
+            should_stop=should_stop,
+        )
+        merged, winner = merge_reports(shard_reports)
+        return CampaignReport(
+            merged=merged,
+            shard_reports=shard_reports,
+            winning_shard=winner,
+            workers=self.workers,
+            wall_seconds=time.perf_counter() - start,
+            mode=self.mode,
+        )
 
 
 def run_campaign(
@@ -605,7 +403,6 @@ __all__ = [
     "CampaignCancelled",
     "CampaignReport",
     "CampaignRunner",
-    "default_start_context",
     "derive_shard_seed",
     "merge_reports",
     "run_campaign",

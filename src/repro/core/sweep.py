@@ -1,4 +1,5 @@
-"""Cross-ISA sweeps: campaign grids over ``arch x contract x cpu``.
+"""Cross-ISA sweeps over ``arch x contract x cpu``, and the one process
+scheduler every campaign and sweep runs on.
 
 The paper's headline evaluation is a grid (Table 3): run the MRT loop
 once per target CPU per contract and report which cells surface
@@ -18,35 +19,30 @@ x86-64 next to DSB/ISB-bounded speculation on AArch64.
   identical program/input battery, which is both the fair comparison
   (same tests against every CPU) and what lets them share contract
   traces through the persistent cache.
-- :class:`SweepRunner` executes each cell through the existing
-  :class:`~repro.core.campaign.CampaignRunner` and merges the outcomes
+- :func:`run_units` is the one process scheduler. Every cell is split
+  into shard-sized *units* by the campaign engine's own
+  :func:`~repro.core.campaign.shard_fuzzer_config` partition, and one
+  pool of ``workers`` long-lived processes drains all cells' units, so
+  a worker that finishes a cheap cell's units takes the pending units
+  of an expensive one instead of idling. Which process runs a unit is
+  pure scheduling: merging a cell's reports in shard order gives the
+  same report for every pool size. A worker that dies mid-unit shows
+  up as EOF on its own pipe; its unit is requeued onto a fresh process.
+  In ``mode="first-violation"`` a violation cancels the rest of *its*
+  cell only. A pool of one runs the units inline, in order.
+  :class:`~repro.core.campaign.CampaignRunner` runs on the same pool as
+  a one-cell grid.
+- :class:`SweepRunner` runs a grid on that pool and merges the outcomes
   into a :class:`SweepReport`: the violation matrix, detection time to
-  first violation per cell, and observed shard concurrency. Cells are
-  independent campaigns, so ``max_parallel_cells`` (CLI
-  ``--parallel-cells``) fans them out over worker processes; cell seeds
-  are derived from the grid coordinates alone, so the scheduling order
-  never changes a deterministic cell report, and
-  :func:`cell_worker_budget` caps each concurrent cell's shard workers
-  so the nested pools never oversubscribe the host. When a
-  ``cache_dir`` is set, every cell (and every shard worker process
-  inside a cell) shares one on-disk
+  first violation per cell, and observed shard concurrency. When a
+  ``cache_dir`` is set, every unit shares one on-disk
   :class:`~repro.core.trace_cache.PersistentTraceCache`, so cells with
   the same ``(arch, contract)`` pair emulate each trace once; a
   ``trace_cache_max_bytes`` bound on the base config arms the cache's
-  size-bounded GC, which the runner also finalizes after the grid.
-- ``schedule="work-stealing"`` replaces the static per-cell fan-out
-  with a shared unit queue: every cell is decomposed into its
-  shard-sized work units up front, and a flat pool of long-lived
-  workers drains the queue, so workers finishing a cheap cell's units
-  steal the pending units of expensive ones instead of idling. Unit
-  seeds/budgets come from the same
-  :func:`~repro.core.campaign.shard_fuzzer_config` derivation the
-  static path uses, so merged cell reports are byte-identical to the
-  static scheduler's. A ``journal_dir`` checkpoints each completed
-  unit atomically (:class:`~repro.core.journal.CampaignJournal`);
-  ``resume=True`` replays journaled units and dispatches only the
-  missing ones, and a worker that dies mid-unit is respawned with its
-  unit requeued rather than failing the sweep.
+  size-bounded GC, which the runner also finalizes after the grid. A
+  ``journal_dir`` checkpoints each completed unit atomically
+  (:class:`~repro.core.journal.CampaignJournal`); ``resume=True``
+  replays journaled units and dispatches only the missing ones.
 - :class:`SweepReport` renders as JSON and as a markdown matrix (one
   ``contract x cpu`` table per architecture). The per-cell
   ``deterministic_report()`` dicts exclude wall-clock and cache
@@ -64,16 +60,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import multiprocessing.connection
-import queue as queue_module
 import signal
 import sys
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.arch import architecture_names
@@ -81,8 +77,6 @@ from repro.contracts import contract_names
 from repro.core.campaign import (
     CampaignCancelled,
     CampaignReport,
-    CampaignRunner,
-    default_start_context,
     derive_shard_seed,
     merge_reports,
     shard_budgets,
@@ -91,8 +85,15 @@ from repro.core.campaign import (
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import Fuzzer, FuzzingReport
 from repro.core.journal import CampaignJournal, sweep_payload
+from repro.core.patterns import PatternCoverage
 from repro.core.trace_cache import PersistentTraceCache, program_fingerprint
 from repro.uarch.config import preset_names
+
+logger = logging.getLogger(__name__)
+
+#: parent -> worker message: stop the in-flight unit at its next
+#: measurement batch (first-violation cancellation)
+_STOP = "stop"
 
 
 @dataclass(frozen=True)
@@ -127,91 +128,41 @@ def derive_cell_seed(base_seed: int, cell: SweepCell) -> int:
     return derive_shard_seed(base_seed, coordinate)
 
 
-def cell_worker_budget(workers: int, parallel_cells: int) -> int:
-    """Shard workers each cell may run when cells execute in parallel.
+def _run_unit(config: FuzzerConfig, should_stop=None) -> FuzzingReport:
+    """One unit: a single shard's fuzzing run.
 
-    The host budget is ``max(workers, parallel_cells)`` processes: with
-    one cell at a time a cell gets the full ``workers``; with several,
-    each gets ``workers // parallel_cells`` (at least one), so
-    ``cell processes x shard workers per cell`` never exceeds the
-    budget. Only the *pool size* shrinks — the shard partition (seeds
-    and budgets) is pinned separately, which is what keeps parallel and
-    sequential sweeps byte-identical.
+    Module-level and looked up at call time, so fork-based tests and
+    profilers can replace it before the workers fork. Full-mode units
+    in a worker run as ``_run_unit(config)``; ``should_stop`` is passed
+    only when something can stop the unit early.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if parallel_cells < 1:
-        raise ValueError("parallel_cells must be >= 1")
-    if parallel_cells == 1:
-        return workers
-    return max(1, workers // parallel_cells)
+    return Fuzzer(config).run(should_stop=should_stop)
 
 
-def _run_cell_worker(task, result_queue) -> None:
-    """Process entry point for one parallel sweep cell.
-
-    Runs the cell's campaign and ships ``(index, error, report)`` back;
-    a failure travels as a formatted traceback instead of poisoning the
-    queue. The process is non-daemonic, so the campaign runner inside is
-    free to spawn its own shard pool and cancel-event manager — the
-    first-violation early-cancel machinery works unchanged across
-    parallel cells.
-    """
-    # The scheduler terminates sibling workers when one cell fails.
-    # SIGTERM's default action would skip Python cleanup and orphan
-    # this worker's own children (shard pool, cancel-event manager) to
-    # keep fuzzing; converting it to SystemExit unwinds the campaign
-    # runner's context managers so the whole cell dies with its worker.
-    try:
-        signal.signal(signal.SIGTERM, lambda *_args: sys.exit(1))
-    except (ValueError, OSError):  # pragma: no cover - exotic platform
-        pass
-    index, config, workers, shards, mode = task
-    try:
-        report = CampaignRunner(
-            config, workers=workers, shards=shards, mode=mode
-        ).run()
-    except SystemExit:
-        raise
-    except BaseException:
-        result_queue.put((index, traceback.format_exc(), None))
-    else:
-        result_queue.put((index, None, report))
+def _cancelled_report() -> FuzzingReport:
+    """A unit skipped because its cell already found a violation."""
+    return FuzzingReport(coverage=PatternCoverage(), cancelled=True)
 
 
-def _run_unit(config: FuzzerConfig) -> FuzzingReport:
-    """One work-stealing unit: a single shard's fuzzing run.
+def _unit_worker(conn) -> None:
+    """Process entry point for one pool worker.
 
-    Module-level (rather than inline in the worker loop) so fork-based
-    tests can intercept it to simulate worker death mid-unit. The
-    ``sweep.unit`` fault site kills the worker process outright (the
-    chaos suite's stand-in for OOM/SIGKILL); the scheduler's requeue
-    path must absorb it without changing the merged report.
-    """
-    faults.maybe_exit("sweep.unit")
-    return Fuzzer(config).run()
-
-
-def _steal_worker(worker_id, conn) -> None:
-    """Process entry point for one work-stealing worker.
-
-    Pulls ``(cell_index, shard_index, config)`` units off its private
+    Pulls ``(cell, shard, config, stoppable)`` units off its private
     duplex pipe until the ``None`` sentinel (or the parent hangs up),
-    shipping ``(worker_id, cell_index, shard_index, error, report)``
-    back for each. Unlike the static cell workers, these processes are
-    long-lived across many units — stealing is cheap because only the
-    pickled config travels, never a process spawn.
+    shipping ``(cell, shard, error, report)`` back for each. Workers are
+    long-lived across many units: only the pickled config travels.
 
     The pipe is deliberately *not* a ``multiprocessing.Queue``: queue
     puts spool through a feeder thread holding a write lock shared by
     every worker, so a worker killed mid-unit could take that lock to
     its grave and wedge all its siblings. Here each result is sent
     synchronously from this thread over a pipe nobody else writes, so
-    a death inside :func:`_run_unit` holds no shared state at all —
-    the parent just sees EOF on this worker's pipe.
+    a death mid-unit holds no shared state at all — the parent just
+    sees EOF on this worker's pipe. The same pipe carries the
+    first-violation stop: a stoppable unit polls it between measurement
+    batches.
     """
-    # Same SIGTERM discipline as _run_cell_worker: unwind instead of
-    # dying mid-cleanup when the scheduler tears the pool down.
+    # unwind instead of dying mid-cleanup when the pool is torn down
     try:
         signal.signal(signal.SIGTERM, lambda *_args: sys.exit(1))
     except (ValueError, OSError):  # pragma: no cover - exotic platform
@@ -223,18 +174,308 @@ def _steal_worker(worker_id, conn) -> None:
             return
         if task is None:
             return
-        cell_index, shard_index, config = task
+        if task == _STOP:
+            continue  # the stop raced the unit's own completion
+        cell, shard, config, stoppable = task
+        # the chaos suite's stand-in for an OOM kill mid-unit; only
+        # ever in a worker, never in the parent of an inline run
+        faults.maybe_exit("sweep.unit")
         try:
-            report = _run_unit(config)
+            if stoppable:
+                report = _run_unit(config, conn.poll)
+            else:
+                report = _run_unit(config)
         except SystemExit:
             raise
         except BaseException:
-            conn.send(
-                (worker_id, cell_index, shard_index,
-                 traceback.format_exc(), None)
-            )
+            conn.send((cell, shard, traceback.format_exc(), None))
         else:
-            conn.send((worker_id, cell_index, shard_index, None, report))
+            conn.send((cell, shard, None, report))
+
+
+@dataclass
+class _Worker:
+    """The parent's view of one pool worker."""
+
+    process: multiprocessing.Process
+    conn: multiprocessing.connection.Connection
+    #: the ``(cell, shard)`` unit it is running, if any
+    unit: Optional[Tuple[int, int]] = None
+
+
+class _UnitScheduler:
+    """Scheduling state of one :func:`run_units` call."""
+
+    #: how many times one unit may be re-dispatched after its worker died
+    MAX_UNIT_RETRIES = 2
+    #: backoff for worker-process spawn failures (EAGAIN under fork
+    #: pressure); deterministic jitter, so retry timing is reproducible
+    SPAWN_RETRY = faults.RetryPolicy(
+        attempts=3, base_delay=0.05, max_delay=1.0
+    )
+    #: how often the parent polls ``should_stop`` and worker liveness
+    #: while no result arrives
+    POLL_SECONDS = 0.2
+
+    def __init__(self, cells, first_violation, journal, on_cell) -> None:
+        self.labels = [label for label, _units in cells]
+        self.units = [list(units) for _label, units in cells]
+        self.reports: List[Dict[int, FuzzingReport]] = [{} for _ in cells]
+        self.first_violation = first_violation
+        self.journal = journal
+        self.on_cell = on_cell
+        #: cells whose violation cancelled their remaining units
+        self.stopped = set()
+        self.pending: deque = deque()
+        self.live: Dict[object, _Worker] = {}
+        self.finished: List[multiprocessing.Process] = []
+        self.retries: Dict[Tuple[int, int], int] = {}
+        methods = multiprocessing.get_all_start_methods()
+        self.context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+
+    def outstanding(self) -> int:
+        return sum(
+            len(units) - len(reports)
+            for units, reports in zip(self.units, self.reports)
+        )
+
+    def accept(self, cell: int, shard: int, report: FuzzingReport,
+               record: bool = True) -> bool:
+        """Store one unit's report. Returns True when the report stops
+        its cell (first-violation mode): its pending units become
+        cancelled reports here, and the caller tells the cell's
+        in-flight units to stop."""
+        if shard in self.reports[cell]:
+            return False  # a requeued unit's duplicate: identical bytes
+        if record and self.journal is not None:
+            self.journal.record(cell, shard, report)
+        self.reports[cell][shard] = report
+        stops = (
+            self.first_violation and report.found
+            and cell not in self.stopped
+        )
+        if stops:
+            self.stopped.add(cell)
+            for unit in [unit for unit in self.pending if unit[0] == cell]:
+                self.pending.remove(unit)
+                self.reports[cell][unit[1]] = _cancelled_report()
+        if len(self.reports[cell]) == len(self.units[cell]):
+            self.on_cell(cell, self.cell_reports(cell))
+        return stops
+
+    def cell_reports(self, cell: int) -> List[FuzzingReport]:
+        return [
+            self.reports[cell][shard]
+            for shard in range(len(self.units[cell]))
+        ]
+
+    # -- a pool of one -------------------------------------------------
+
+    def run_inline(self, should_stop) -> None:
+        """Run every pending unit in this process, in order; the stop
+        signal reaches each unit between its measurement batches."""
+        while self.pending:
+            if should_stop is not None and should_stop():
+                raise CampaignCancelled(
+                    f"stopped with {len(self.pending)} unit(s) pending"
+                )
+            cell, shard = self.pending.popleft()
+            config = self.units[cell][shard]
+            if should_stop is None:
+                report = _run_unit(config)
+            else:
+                report = _run_unit(config, should_stop)
+            if report.cancelled:
+                raise CampaignCancelled(
+                    f"stopped inside {self.labels[cell]} shard {shard}"
+                )
+            self.accept(cell, shard, report)
+
+    # -- the process pool ----------------------------------------------
+
+    def run_pooled(self, size: int, should_stop) -> None:
+        """Dispatch units to long-lived workers, one at a time each, so
+        the parent always knows which unit every worker holds; requeue
+        a dead worker's unit onto a fresh process."""
+        try:
+            for _ in range(min(size, len(self.pending))):
+                self.dispatch(self.spawn())
+            while self.outstanding():
+                if should_stop is not None and should_stop():
+                    # the except-clause terminates workers; journaled
+                    # unit checkpoints persist, so a resume finishes
+                    # exactly the units this stop abandoned
+                    raise CampaignCancelled(
+                        f"stopped with {self.outstanding()} unit(s) "
+                        "outstanding"
+                    )
+                ready = multiprocessing.connection.wait(
+                    list(self.live), timeout=self.POLL_SECONDS
+                )
+                if not ready:
+                    # a death is an EOF on the worker's own pipe, unless
+                    # a sibling forked concurrently (another service
+                    # job) inherited that pipe's write end
+                    for worker in list(self.live.values()):
+                        if not worker.process.is_alive():
+                            self.reap(worker)
+                    continue
+                for conn in ready:
+                    worker = self.live.get(conn)
+                    if worker is None:
+                        continue  # reaped or retired earlier in this batch
+                    try:
+                        cell, shard, error, report = conn.recv()
+                    except (EOFError, OSError):
+                        self.reap(worker)
+                        continue
+                    worker.unit = None
+                    if error is not None:
+                        raise RuntimeError(
+                            f"{self.labels[cell]} shard {shard} failed "
+                            f"in its worker:\n{error}"
+                        )
+                    if self.accept(cell, shard, report):
+                        self.stop_cell(cell)
+                    self.dispatch(worker)
+        except BaseException:
+            for worker in self.live.values():
+                if worker.process.is_alive():
+                    worker.process.terminate()
+            raise
+        finally:
+            for worker in self.live.values():
+                worker.conn.close()
+                worker.process.join()
+            for process in self.finished:
+                process.join()
+
+    def spawn(self) -> _Worker:
+        parent_conn, child_conn = self.context.Pipe(duplex=True)
+        process = self.context.Process(
+            target=_unit_worker, args=(child_conn,)
+        )
+
+        def start() -> None:
+            faults.inject_oserror("sweep.spawn")
+            process.start()
+
+        # fork can fail transiently (EAGAIN under process pressure);
+        # retry with deterministic backoff before failing the run
+        self.SPAWN_RETRY.call(start)
+        # close the parent's copy so the worker's death is the only
+        # thing that can EOF this pipe
+        child_conn.close()
+        worker = _Worker(process, parent_conn)
+        self.live[parent_conn] = worker
+        return worker
+
+    def dispatch(self, worker: _Worker) -> None:
+        if not self.pending:
+            self.retire(worker)
+            return
+        cell, shard = worker.unit = self.pending.popleft()
+        config = self.units[cell][shard]
+        try:
+            worker.conn.send((cell, shard, config, self.first_violation))
+        except OSError:
+            self.reap(worker)  # died between its last result and this
+
+    def retire(self, worker: _Worker) -> None:
+        # no work left: stop the worker (a later death-requeue spawns a
+        # fresh replacement, so nothing is stranded)
+        del self.live[worker.conn]
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass  # already dead with no unit: nothing lost
+        worker.conn.close()
+        self.finished.append(worker.process)
+
+    def reap(self, worker: _Worker) -> None:
+        """A worker died: requeue its unit onto a fresh process, up to
+        :attr:`MAX_UNIT_RETRIES` times per unit."""
+        del self.live[worker.conn]
+        worker.process.join()
+        worker.conn.close()
+        self.finished.append(worker.process)
+        if worker.unit is None:
+            return
+        cell, shard = worker.unit
+        if cell in self.stopped:
+            # its cell already has its violation: skip, don't re-run
+            self.accept(cell, shard, _cancelled_report())
+            return
+        retry = self.retries.get(worker.unit, 0) + 1
+        self.retries[worker.unit] = retry
+        code = worker.process.exitcode
+        if retry > self.MAX_UNIT_RETRIES:
+            raise RuntimeError(
+                f"{self.labels[cell]} shard {shard} worker died "
+                f"{retry} times (last exit code {code}); giving up"
+            )
+        logger.warning(
+            "%s shard %d: worker died with exit code %s; requeued "
+            "(retry %d of %d)",
+            self.labels[cell], shard, code, retry, self.MAX_UNIT_RETRIES,
+        )
+        self.pending.appendleft(worker.unit)
+        self.dispatch(self.spawn())
+
+    def stop_cell(self, cell: int) -> None:
+        """Tell the workers running the cell's units to stop them."""
+        for worker in list(self.live.values()):
+            if worker.unit is not None and worker.unit[0] == cell:
+                try:
+                    worker.conn.send(_STOP)
+                except OSError:
+                    pass  # dead: reap() cancels its unit
+
+
+def run_units(
+    cells: Sequence[Tuple[str, Sequence[FuzzerConfig]]],
+    workers: int,
+    first_violation: bool = False,
+    journal: Optional[CampaignJournal] = None,
+    resume: bool = False,
+    on_cell: Optional[Callable[[int, List[FuzzingReport]], None]] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> List[List[FuzzingReport]]:
+    """Run every cell's units on one pool of ``workers`` processes.
+
+    ``cells`` lists ``(label, unit configs)`` pairs; the result holds
+    each cell's unit reports in unit order. With an opened ``journal``
+    every completed unit is checkpointed, and ``resume`` replays its
+    records instead of re-running them. ``on_cell(index, reports)``
+    fires as each cell completes. In ``first_violation`` mode a unit
+    that finds a violation cancels its own cell's remaining units:
+    pending ones become empty ``cancelled`` reports and in-flight ones
+    stop at their next measurement batch. ``should_stop`` is polled
+    while units run; when it fires the run raises
+    :class:`~repro.core.campaign.CampaignCancelled`.
+    """
+    scheduler = _UnitScheduler(
+        cells, first_violation, journal,
+        on_cell or (lambda _cell, _reports: None),
+    )
+    units = scheduler.units
+    if journal is not None and resume:
+        for (cell, shard), report in journal.completed().items():
+            if 0 <= cell < len(units) and 0 <= shard < len(units[cell]):
+                scheduler.accept(cell, shard, report, record=False)
+    scheduler.pending.extend(
+        (cell, shard)
+        for cell in range(len(units))
+        for shard in range(len(units[cell]))
+        if shard not in scheduler.reports[cell]
+    )
+    if min(workers, len(scheduler.pending)) == 1:
+        scheduler.run_inline(should_stop)
+    elif scheduler.pending:
+        scheduler.run_pooled(workers, should_stop)
+    return [scheduler.cell_reports(cell) for cell in range(len(units))]
 
 
 @dataclass
@@ -255,7 +496,7 @@ class SweepSpec:
     contracts: Tuple[str, ...] = ("CT-SEQ",)
     cpus: Tuple[str, ...] = ("skylake",)
     base_config: FuzzerConfig = field(default_factory=FuzzerConfig)
-    #: per-cell campaign shape (see :class:`CampaignRunner`)
+    #: pool size, shards per cell (default: one per worker) and mode
     workers: int = 1
     shards: Optional[int] = None
     mode: str = "full"
@@ -428,16 +669,6 @@ class SweepReport:
     results: List[SweepCellResult]
     wall_seconds: float
     cache_dir: Optional[str] = None
-    #: cell-level parallelism the runner was allowed (scheduling only —
-    #: deterministic cell reports are identical for every value)
-    max_parallel_cells: int = 1
-    #: shard workers each cell actually ran with (the budgeted count)
-    cell_workers: int = 1
-    #: scheduler that placed the work ("static" | "work-stealing");
-    #: scheduling only — cell reports are byte-identical either way
-    schedule: str = "static"
-    #: size of the shared work-stealing pool (``None`` under static)
-    steal_workers: Optional[int] = None
     #: disk entries / bytes the trace-cache GC evicted across the sweep
     #: (cells' own passes plus the runner's finalizing pass)
     trace_cache_gc_evictions: int = 0
@@ -528,12 +759,6 @@ class SweepReport:
                 result.cell.label: result.timing_report()
                 for result in self.results
             },
-            "scheduling": {
-                "max_parallel_cells": self.max_parallel_cells,
-                "cell_workers": self.cell_workers,
-                "schedule": self.schedule,
-                "steal_workers": self.steal_workers,
-            },
             "trace_cache": {
                 "disk_hits": self.trace_cache_disk_hits,
                 "gc_evictions": self.trace_cache_gc_evictions,
@@ -557,8 +782,8 @@ class SweepReport:
 
     def report_digest(self) -> str:
         """sha1 over :meth:`cell_reports_json` — the sweep-level analogue
-        of :meth:`CampaignReport.report_digest`, equal across schedulers,
-        worker counts, and kill-and-resume."""
+        of :meth:`CampaignReport.report_digest`, equal across worker
+        counts and kill-and-resume."""
         return hashlib.sha1(
             self.cell_reports_json().encode("utf-8")
         ).hexdigest()
@@ -577,64 +802,46 @@ class SweepReport:
 
 
 class SweepRunner:
-    """Executes a :class:`SweepSpec`, up to ``max_parallel_cells`` at once.
+    """Executes a :class:`SweepSpec` on one pool of ``spec.workers``
+    processes (:func:`run_units`).
 
-    Cells are independent campaigns with coordinate-derived seeds, so
-    scheduling them onto worker processes changes wall clock only:
-    deterministic cell reports are byte-identical for every
-    ``max_parallel_cells`` value. When cells run in parallel, each one's
-    shard-worker pool is capped by :func:`cell_worker_budget` (the shard
-    *partition* — seeds and budgets — stays exactly as specified), and
-    cell workers are non-daemonic processes, so a cell's own
-    first-violation early-cancel machinery (shard pool + cancel-event
-    manager) runs unchanged inside them. ``cache_dir`` points every
-    cell and every shard worker at one shared persistent trace cache;
-    ``base_config.trace_cache_max_bytes`` bounds that cache's disk
-    footprint, with a finalizing GC pass after the grid.
+    Cells are split into ``spec.shards`` units each (default: one per
+    worker), and cell seeds come from the grid coordinates alone, so
+    the pool size changes wall clock only: deterministic cell reports
+    are byte-identical for every ``workers`` value at a fixed shard
+    count. ``cache_dir`` points every unit at one shared persistent
+    trace cache; ``base_config.trace_cache_max_bytes`` bounds that
+    cache's disk footprint, with a finalizing GC pass after the grid.
+    ``schedule`` is accepted for existing callers; the unit pool
+    (``"work-stealing"``) is the only scheduler.
     """
-
-    SCHEDULES = ("static", "work-stealing")
-    #: how many times one unit may be re-dispatched after its worker died
-    MAX_UNIT_RETRIES = 2
-    #: backoff for worker-process spawn failures (EAGAIN under fork
-    #: pressure); deterministic jitter, so retry timing is reproducible
-    SPAWN_RETRY = faults.RetryPolicy(
-        attempts=3, base_delay=0.05, max_delay=1.0
-    )
 
     def __init__(
         self,
         spec: SweepSpec,
         cache_dir: Optional[str] = None,
-        max_parallel_cells: int = 1,
-        schedule: str = "static",
+        schedule: str = "work-stealing",
         journal_dir: Optional[str] = None,
         resume: bool = False,
     ):
-        if max_parallel_cells < 1:
-            raise ValueError("max_parallel_cells must be >= 1")
-        if schedule not in self.SCHEDULES:
+        if spec.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if spec.shards is not None and spec.shards < 1:
+            raise ValueError("shards must be >= 1")
+        if schedule != "work-stealing":
             raise ValueError(
-                f"unknown schedule {schedule!r}; "
-                f"expected one of {self.SCHEDULES}"
-            )
-        if schedule == "work-stealing" and spec.mode != "full":
-            raise ValueError(
-                "work-stealing requires mode='full': first-violation "
-                "cancel timing depends on shard placement, which stealing "
-                "deliberately randomizes across cells"
+                f"unknown schedule {schedule!r}; the unit pool "
+                "('work-stealing') is the only scheduler"
             )
         if resume and journal_dir is None:
             raise ValueError("resume requires a journal directory")
-        if journal_dir is not None and schedule != "work-stealing":
+        if journal_dir is not None and spec.mode != "full":
             raise ValueError(
-                "sweep journaling requires schedule='work-stealing' "
-                "(static cells run whole campaigns inside opaque workers, "
-                "so there is no per-shard completion to checkpoint)"
+                "journaling requires mode='full': first-violation unit "
+                "reports depend on cancel timing, so checkpoints would "
+                "not be replayable"
             )
         self.spec = spec
-        self.max_parallel_cells = max_parallel_cells
-        self.schedule = schedule
         self.journal_dir = journal_dir
         self.resume = resume
         self.cache_dir = (
@@ -655,13 +862,13 @@ class SweepRunner:
 
     def run(self, progress=None, should_stop=None) -> SweepReport:
         """Run the grid; ``progress`` is an optional callable invoked
-        with (cell, campaign_report) after each cell completes — in
-        completion order when cells run in parallel. ``should_stop`` is
-        an optional zero-argument callable polled while cells run (the
-        service's cancel/deadline signal); when it fires the sweep
-        raises :class:`~repro.core.campaign.CampaignCancelled` —
-        journaled unit checkpoints survive, so a cancelled journaled
-        sweep resumes like a killed one."""
+        with (cell, campaign_report) as each cell completes, in
+        completion order. ``should_stop`` is an optional zero-argument
+        callable polled while units run (the service's cancel/deadline
+        signal); when it fires the sweep raises
+        :class:`~repro.core.campaign.CampaignCancelled` — journaled unit
+        checkpoints survive, so a cancelled journaled sweep resumes
+        like a killed one."""
         start = time.perf_counter()
         cache: Optional[PersistentTraceCache] = None
         max_bytes = self.spec.base_config.trace_cache_max_bytes
@@ -673,18 +880,50 @@ class SweepRunner:
                 compress=self.spec.base_config.trace_cache_compress,
             )
         pairs = self.cell_configs()
-        parallel = min(self.max_parallel_cells, len(pairs))
-        steal_workers: Optional[int] = None
-        if self.schedule == "work-stealing":
-            results, steal_workers = self._run_workstealing(
-                pairs, progress, should_stop
+        shards = (
+            self.spec.shards
+            if self.spec.shards is not None
+            else self.spec.workers
+        )
+        journal: Optional[CampaignJournal] = None
+        if self.journal_dir is not None:
+            journal = CampaignJournal(self.journal_dir)
+            journal.open(sweep_payload(self.spec, shards), resume=self.resume)
+        results: List[Optional[SweepCellResult]] = [None] * len(pairs)
+
+        def finish_cell(index: int, reports: List[FuzzingReport]) -> None:
+            cell, config = pairs[index]
+            merged, winner = merge_reports(reports)
+            campaign = CampaignReport(
+                merged=merged,
+                shard_reports=reports,
+                winning_shard=winner,
+                workers=self.spec.workers,
+                wall_seconds=time.perf_counter() - start,
+                mode=self.spec.mode,
             )
-        elif parallel <= 1:
-            results = self._run_sequential(pairs, progress, should_stop)
-        else:
-            results = self._run_parallel(
-                pairs, parallel, progress, should_stop
-            )
+            results[index] = SweepCellResult(cell, config.seed, campaign)
+            if progress is not None:
+                progress(cell, campaign)
+
+        run_units(
+            [
+                (
+                    f"sweep cell {cell.label}",
+                    [
+                        shard_fuzzer_config(config, index, shards)
+                        for index in range(shards)
+                    ],
+                )
+                for cell, config in pairs
+            ],
+            self.spec.workers,
+            first_violation=self.spec.mode == "first-violation",
+            journal=journal,
+            resume=self.resume,
+            on_cell=finish_cell,
+            should_stop=should_stop,
+        )
         gc_evictions = sum(
             result.campaign.merged.trace_cache_gc_evictions
             for result in results
@@ -709,416 +948,16 @@ class SweepRunner:
             results=results,
             wall_seconds=time.perf_counter() - start,
             cache_dir=self.cache_dir,
-            max_parallel_cells=self.max_parallel_cells,
-            cell_workers=cell_worker_budget(self.spec.workers, parallel),
-            schedule=self.schedule,
-            steal_workers=steal_workers,
             trace_cache_gc_evictions=gc_evictions,
             trace_cache_gc_bytes=gc_bytes,
             trace_cache_disk_bytes=disk_bytes,
         )
-
-    def _run_sequential(
-        self, pairs, progress, should_stop=None
-    ) -> List[SweepCellResult]:
-        results: List[SweepCellResult] = []
-        for cell, config in pairs:
-            # the campaign runner polls should_stop itself and raises
-            # CampaignCancelled mid-cell; this loop only needs to stop
-            # between cells
-            if should_stop is not None and should_stop():
-                raise CampaignCancelled(
-                    f"sweep stopped before cell {cell.label} "
-                    f"({len(results)}/{len(pairs)} cell(s) done)"
-                )
-            campaign = CampaignRunner(
-                config,
-                workers=self.spec.workers,
-                shards=self.spec.shards,
-                mode=self.spec.mode,
-            ).run(should_stop=should_stop)
-            results.append(SweepCellResult(cell, config.seed, campaign))
-            if progress is not None:
-                progress(cell, campaign)
-        return results
-
-    def _run_parallel(
-        self, pairs, parallel: int, progress, should_stop=None
-    ) -> List[SweepCellResult]:
-        """Fan the cells out over ``parallel`` worker processes.
-
-        A hand-rolled scheduler rather than a ``Pool``: cell workers
-        must be non-daemonic (each may spawn its own shard pool and
-        cancel-event manager), and forking only from the scheduler loop
-        keeps the parent single-threaded. The shard partition is pinned
-        explicitly so shrinking the per-cell pool cannot shift it.
-        """
-        # pin the partition the sequential path would use implicitly
-        shards = (
-            self.spec.shards
-            if self.spec.shards is not None
-            else self.spec.workers
-        )
-        workers = cell_worker_budget(self.spec.workers, parallel)
-        context = default_start_context()
-        result_queue = context.Queue()
-        tasks = deque(
-            (index, config, workers, shards, self.spec.mode)
-            for index, (_cell, config) in enumerate(pairs)
-        )
-        #: cell index -> worker process, for the cells still in flight
-        in_flight: Dict[int, multiprocessing.Process] = {}
-        processes: List[multiprocessing.Process] = []
-        results: List[Optional[SweepCellResult]] = [None] * len(pairs)
-
-        def launch() -> None:
-            task = tasks.popleft()
-            process = context.Process(
-                target=_run_cell_worker, args=(task, result_queue)
-            )
-            process.start()
-            in_flight[task[0]] = process
-            processes.append(process)
-
-        try:
-            for _ in range(min(parallel, len(tasks))):
-                launch()
-            collected = 0
-            while collected < len(pairs):
-                if should_stop is not None and should_stop():
-                    # the except-clause below terminates in-flight cell
-                    # workers; static cells have no checkpoints to keep
-                    raise CampaignCancelled(
-                        f"sweep stopped with {collected}/{len(pairs)} "
-                        "cell(s) collected"
-                    )
-                try:
-                    index, error, campaign = result_queue.get(timeout=1.0)
-                except queue_module.Empty:
-                    # a worker killed by the OS (OOM, signal) can never
-                    # enqueue its result — surface it instead of
-                    # blocking forever. exitcode 0 with a pending
-                    # result just means the payload is still in transit
-                    for cell_index, process in in_flight.items():
-                        if not process.is_alive() and process.exitcode != 0:
-                            raise RuntimeError(
-                                f"sweep cell {pairs[cell_index][0].label} "
-                                f"worker died with exit code "
-                                f"{process.exitcode} before reporting"
-                            )
-                    continue
-                collected += 1
-                in_flight.pop(index, None)
-                cell, config = pairs[index]
-                if error is not None:
-                    raise RuntimeError(
-                        f"sweep cell {cell.label} failed in its worker "
-                        f"process:\n{error}"
-                    )
-                results[index] = SweepCellResult(cell, config.seed, campaign)
-                if progress is not None:
-                    progress(cell, campaign)
-                if tasks:
-                    launch()
-        except BaseException:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            raise
-        finally:
-            for process in processes:
-                process.join()
-        return results
-
-    # -- work-stealing -----------------------------------------------------
-
-    def _steal_pool_size(self) -> int:
-        """Same host budget the static scheduler gets: ``workers``
-        processes when cells run one at a time, ``max_parallel_cells``
-        when the grid fans out — whichever is larger."""
-        return max(self.spec.workers, self.max_parallel_cells)
-
-    def _resolved_shards(self) -> int:
-        """The shard partition, pinned exactly like the static parallel
-        path pins it — this is what keeps the two schedulers
-        byte-identical."""
-        return (
-            self.spec.shards
-            if self.spec.shards is not None
-            else self.spec.workers
-        )
-
-    def _run_workstealing(
-        self, pairs, progress, should_stop=None
-    ) -> Tuple[List[SweepCellResult], int]:
-        """Decompose every cell into shard-sized units on one shared
-        queue and drain it with a flat worker pool.
-
-        Units carry their own :func:`~repro.core.campaign.
-        shard_fuzzer_config`-derived seed and budget, so *which* worker
-        runs a unit (the stealing) is pure scheduling: once a cell's
-        shard reports are all in, merging them in shard order
-        reproduces the static scheduler's campaign report byte for
-        byte. Workers that finish a cheap cell's units immediately pull
-        pending units of expensive cells instead of idling.
-
-        With a journal, each completed unit is checkpointed atomically,
-        and ``resume`` replays journaled units instead of re-running
-        them. Returns ``(results, pool_size)``.
-        """
-        shards = self._resolved_shards()
-        units: List[Tuple[int, int, FuzzerConfig]] = []
-        for cell_index, (_cell, config) in enumerate(pairs):
-            for shard_index in range(shards):
-                units.append(
-                    (
-                        cell_index,
-                        shard_index,
-                        shard_fuzzer_config(config, shard_index, shards),
-                    )
-                )
-
-        journal: Optional[CampaignJournal] = None
-        shard_reports: Dict[int, Dict[int, FuzzingReport]] = {
-            index: {} for index in range(len(pairs))
-        }
-        if self.journal_dir is not None:
-            journal = CampaignJournal(self.journal_dir)
-            journal.open(sweep_payload(self.spec, shards), resume=self.resume)
-            if self.resume:
-                for (cell, shard), report in journal.completed().items():
-                    if 0 <= cell < len(pairs) and 0 <= shard < shards:
-                        shard_reports[cell][shard] = report
-
-        pool_size = self._steal_pool_size()
-        start = time.perf_counter()
-        results: List[Optional[SweepCellResult]] = [None] * len(pairs)
-
-        def finish_cell(cell_index: int) -> None:
-            cell, config = pairs[cell_index]
-            reports = [
-                shard_reports[cell_index][index] for index in range(shards)
-            ]
-            merged, winner = merge_reports(reports)
-            campaign = CampaignReport(
-                merged=merged,
-                shard_reports=reports,
-                winning_shard=winner,
-                workers=pool_size,
-                wall_seconds=time.perf_counter() - start,
-                mode="full",
-            )
-            results[cell_index] = SweepCellResult(cell, config.seed, campaign)
-            if progress is not None:
-                progress(cell, campaign)
-
-        # cells fully replayed from the journal finish before any worker
-        # spawns; a complete journal means zero units dispatched
-        for cell_index in range(len(pairs)):
-            if len(shard_reports[cell_index]) == shards:
-                finish_cell(cell_index)
-
-        pending = deque(
-            unit
-            for unit in units
-            if unit[1] not in shard_reports[unit[0]]
-        )
-        if pending:
-            if min(pool_size, len(pending)) <= 1:
-                # one process total: run units inline, same order
-                while pending:
-                    if should_stop is not None and should_stop():
-                        raise CampaignCancelled(
-                            f"sweep stopped with {len(pending)} unit(s) "
-                            "pending"
-                        )
-                    cell_index, shard_index, config = pending.popleft()
-                    report = _run_unit(config)
-                    if journal is not None:
-                        journal.record(cell_index, shard_index, report)
-                    shard_reports[cell_index][shard_index] = report
-                    if len(shard_reports[cell_index]) == shards:
-                        finish_cell(cell_index)
-            else:
-                self._steal_loop(
-                    pairs, pending, pool_size, journal,
-                    shard_reports, shards, finish_cell, should_stop,
-                )
-        return results, pool_size
-
-    def _steal_loop(
-        self, pairs, pending, pool_size, journal,
-        shard_reports, shards, finish_cell, should_stop=None,
-    ) -> None:
-        """The shared-queue scheduler: dispatch units to long-lived
-        workers, requeue and respawn on worker death.
-
-        Each worker gets a private duplex pipe; the parent hands an
-        idle worker the next pending unit the moment its previous
-        result arrives, so the parent always knows which unit every
-        worker holds. That bookkeeping is what turns PR 4's liveness
-        detection from fail-fast into self-healing, and the per-worker
-        pipes are what make it *sound*: a worker that dies mid-unit
-        (OOM, signal) shows up as EOF on its own pipe, its unit is
-        pushed back onto the queue and a replacement process spawned,
-        up to :attr:`MAX_UNIT_RETRIES` per unit. Because no pipe is
-        shared between workers, one death can never strand another
-        worker's results behind a leaked queue lock or a half-spooled
-        message.
-        """
-        context = default_start_context()
-        #: worker id -> {"process", "conn", "unit"} for live workers
-        workers: Dict[int, Dict[str, object]] = {}
-        finished: List[multiprocessing.Process] = []
-        retries: Dict[Tuple[int, int], int] = {}
-        next_worker_id = 0
-
-        def spawn() -> int:
-            nonlocal next_worker_id
-            worker_id = next_worker_id
-            next_worker_id += 1
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_steal_worker, args=(worker_id, child_conn)
-            )
-
-            def start() -> None:
-                faults.inject_oserror("sweep.spawn")
-                process.start()
-
-            # fork can fail transiently (EAGAIN under process pressure);
-            # retry with deterministic backoff before failing the sweep
-            self.SPAWN_RETRY.call(start)
-            # close the parent's copy so the worker's death is the only
-            # thing that can EOF this pipe
-            child_conn.close()
-            workers[worker_id] = {
-                "process": process, "conn": parent_conn, "unit": None,
-            }
-            return worker_id
-
-        def retire(worker_id: int) -> None:
-            # no work left: stop the worker (a later death-requeue
-            # spawns a fresh replacement, so nothing is stranded)
-            state = workers.pop(worker_id)
-            try:
-                state["conn"].send(None)
-            except (BrokenPipeError, OSError):
-                pass  # already dead with no unit: nothing lost
-            state["conn"].close()
-            finished.append(state["process"])
-
-        def reap(worker_id: int) -> None:
-            # a worker died: requeue its unit onto a fresh process
-            # instead of failing the sweep
-            state = workers.pop(worker_id)
-            process = state["process"]
-            process.join()
-            finished.append(process)
-            state["conn"].close()
-            unit = state["unit"]
-            if unit is None:
-                return
-            key = (unit[0], unit[1])
-            retries[key] = retries.get(key, 0) + 1
-            if retries[key] > self.MAX_UNIT_RETRIES:
-                raise RuntimeError(
-                    f"sweep cell {pairs[unit[0]][0].label} "
-                    f"shard {unit[1]} worker died "
-                    f"{retries[key]} times (last exit code "
-                    f"{process.exitcode}); giving up"
-                )
-            pending.appendleft(unit)
-            dispatch(spawn())
-
-        def dispatch(worker_id: int) -> None:
-            if not pending:
-                retire(worker_id)
-                return
-            state = workers[worker_id]
-            unit = pending.popleft()
-            state["unit"] = unit
-            try:
-                state["conn"].send(unit)
-            except (BrokenPipeError, OSError):
-                # died between its last result and this dispatch
-                reap(worker_id)
-
-        outstanding = len(pending)
-        try:
-            for _ in range(min(pool_size, len(pending))):
-                dispatch(spawn())
-            while outstanding > 0:
-                if should_stop is not None and should_stop():
-                    # the except-clause terminates workers; journaled
-                    # unit checkpoints persist, so a resume finishes
-                    # exactly the units this stop abandoned
-                    raise CampaignCancelled(
-                        f"sweep stopped with {outstanding} unit(s) "
-                        "outstanding"
-                    )
-                conn_map = {
-                    state["conn"]: worker_id
-                    for worker_id, state in workers.items()
-                }
-                ready = multiprocessing.connection.wait(
-                    list(conn_map), timeout=1.0
-                )
-                if not ready:
-                    # heartbeat sweep: EOF wakeups already cover every
-                    # normal death, this is belt and braces
-                    for worker_id, state in list(workers.items()):
-                        if not state["process"].is_alive():
-                            reap(worker_id)
-                    continue
-                for conn in ready:
-                    worker_id = conn_map[conn]
-                    state = workers.get(worker_id)
-                    if state is None:
-                        continue  # reaped earlier in this batch
-                    try:
-                        _sender, cell_index, shard_index, error, report = (
-                            conn.recv()
-                        )
-                    except (EOFError, OSError):
-                        reap(worker_id)
-                        continue
-                    state["unit"] = None
-                    if error is not None:
-                        raise RuntimeError(
-                            f"sweep cell {pairs[cell_index][0].label} shard "
-                            f"{shard_index} failed in its worker:\n{error}"
-                        )
-                    if shard_index not in shard_reports[cell_index]:
-                        if journal is not None:
-                            journal.record(cell_index, shard_index, report)
-                        shard_reports[cell_index][shard_index] = report
-                        outstanding -= 1
-                        if len(shard_reports[cell_index]) == shards:
-                            finish_cell(cell_index)
-                    # else: defensive duplicate drop — identical bytes
-                    # either way, recording once keeps merges exact
-                    dispatch(worker_id)
-        except BaseException:
-            for state in workers.values():
-                process = state["process"]
-                if process.is_alive():
-                    process.terminate()
-            raise
-        finally:
-            for state in workers.values():
-                state["conn"].close()
-                state["process"].join()
-            for process in finished:
-                process.join()
 
 
 def run_sweep(
     spec: SweepSpec,
     cache_dir: Optional[str] = None,
     progress=None,
-    max_parallel_cells: int = 1,
-    schedule: str = "static",
     journal_dir: Optional[str] = None,
     resume: bool = False,
     should_stop=None,
@@ -1127,8 +966,6 @@ def run_sweep(
     return SweepRunner(
         spec,
         cache_dir=cache_dir,
-        max_parallel_cells=max_parallel_cells,
-        schedule=schedule,
         journal_dir=journal_dir,
         resume=resume,
     ).run(progress=progress, should_stop=should_stop)
@@ -1140,7 +977,7 @@ __all__ = [
     "SweepReport",
     "SweepRunner",
     "SweepSpec",
-    "cell_worker_budget",
     "derive_cell_seed",
     "run_sweep",
+    "run_units",
 ]

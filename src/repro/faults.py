@@ -16,8 +16,9 @@ trace_cache.write    ``OSError`` on entry publication (counted no-persist)
 trace_cache.torn     the published entry blob is truncated (torn entry)
 trace_cache.gc       ``OSError`` during the size-bounded GC pass
 journal.publish      ``OSError`` publishing a shard checkpoint record
-sweep.unit           the work-stealing worker dies (``os._exit``) mid-unit
-sweep.spawn          ``OSError`` spawning a work-stealing worker process
+sweep.unit           a pool worker dies (``os._exit``) mid-unit (campaign
+                     or sweep; inline runs never fire it)
+sweep.spawn          ``OSError`` spawning a pool worker process
 service.event        ``OSError`` persisting a job's state-dir snapshot
 server.send          the server drops the client connection mid-response
 ==================== ====================================================
@@ -40,7 +41,7 @@ cost one module-level check in production.
 :class:`RetryPolicy` is the shared capped-exponential-backoff policy
 (deterministic seed-derived jitter) used by the service client's
 reconnect-and-resume, the trace cache's disk publication, and the
-sweep scheduler's worker respawn.
+unit pool's worker respawn.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The in-process campaign service: job specs, jobs, and the queue.
 
 A :class:`JobSpec` pairs an :class:`~repro.api.EngineOptions` bag with
-the run shape (kind, workers/shards/mode, sweep axes, scheduler,
-journal). :class:`CampaignService` executes submitted specs on a small
+the run shape (kind, workers/shards/mode, sweep axes, journal).
+:class:`CampaignService` executes submitted specs on a small
 thread pool — each job drives the ordinary multiprocessing engines
 through :mod:`repro.api`, so the processes fan out exactly as the CLI
 subcommands would — and accumulates an append-only event list per job.
@@ -16,11 +16,12 @@ Lifecycle hardening (docs/service.md "Robustness"):
 - **Cancellation and deadlines.** ``cancel(job_id)`` sets a cooperative
   stop flag; a per-job ``deadline_s`` arms a wall-clock bound counted
   from when the job starts running. Both are threaded through
-  :mod:`repro.api` as a ``should_stop`` callable that the engines poll
-  between measurement batches, so in-flight worker processes wind down
-  at their next boundary — no orphans. The resulting terminal states
-  are ``cancelled`` and ``timeout``; journaled checkpoints written
-  before the stop survive for a later resume.
+  :mod:`repro.api` as a ``should_stop`` callable: inline runs poll it
+  between measurement batches, and a worker pool's parent polls it
+  and tears its workers down and joins them — no orphans. The
+  resulting terminal states are ``cancelled`` and ``timeout``;
+  journaled checkpoints written before the stop survive for a later
+  resume.
 - **Backpressure.** ``max_queued_jobs`` bounds the pending queue;
   ``submit`` on a full service raises :class:`ServiceBusy` carrying a
   ``retry_after`` hint instead of queueing unboundedly.
@@ -109,8 +110,6 @@ class JobSpec:
     contracts: Tuple[str, ...] = ()
     cpus: Tuple[str, ...] = ()
     total_budget: Optional[int] = None
-    parallel_cells: int = 1
-    schedule: str = "static"
     # checkpoint/resume
     journal_dir: Optional[str] = None
     resume: bool = False
@@ -592,8 +591,6 @@ class CampaignService:
             shards=spec.shards,
             mode=spec.mode,
             total_budget=spec.total_budget,
-            parallel_cells=spec.parallel_cells,
-            schedule=spec.schedule,
             journal_dir=spec.journal_dir,
             resume=spec.resume,
             progress=progress,

@@ -124,17 +124,18 @@ class TestRunners:
         )
 
     def test_run_sweep_axes_and_schedule_pass_through(self):
-        static = api.run_sweep(
+        inline = api.run_sweep(
             quick_options(), contracts=("CT-SEQ", "CT-COND"), shards=2
         )
-        stealing = api.run_sweep(
+        pooled = api.run_sweep(
             quick_options(), contracts=("CT-SEQ", "CT-COND"), shards=2,
-            schedule="work-stealing", parallel_cells=2,
+            workers=2,
         )
-        assert (
-            stealing.cell_reports_json() == static.cell_reports_json()
-        )
-        assert stealing.schedule == "work-stealing"
+        assert pooled.cell_reports_json() == inline.cell_reports_json()
+        assert pooled.to_json()["grid"]["workers"] == 2
+        assert [r.cell.contract for r in pooled.results] == [
+            "CT-SEQ", "CT-COND"
+        ]
 
     def test_run_minimize_returns_none_without_violation(self):
         report, result = api.run_minimize(

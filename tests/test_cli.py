@@ -90,11 +90,14 @@ class TestParser:
             build_parser().parse_args(["sweep", "--arch", ","])
 
     def test_parallel_cells_flag(self):
-        assert build_parser().parse_args(["sweep"]).parallel_cells == 1
-        args = build_parser().parse_args(["sweep", "--parallel-cells", "4"])
-        assert args.parallel_cells == 4
+        # one scheduler: the pool size is -w, nothing else selects one
+        for flag in ("--parallel-cells", "--schedule"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", flag, "4"])
+        args = build_parser().parse_args(["sweep", "-w", "4", "--shards", "1"])
+        assert (args.workers, args.shards) == (4, 1)
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--parallel-cells", "0"])
+            build_parser().parse_args(["sweep", "-w", "0"])
 
     def test_cache_max_bytes_flag(self):
         # on every fuzzing subcommand, like the other cache knobs
@@ -167,8 +170,8 @@ class TestCommands:
         assert "traces reused" in output
 
     def test_sweep_parallel_cells_bounded_cache(self, tmp_path, capsys):
-        """The new scheduler end to end: two cells in flight, a bounded
-        shared cache, and the same matrix output as a sequential run."""
+        """The pool end to end: two cells in flight, a bounded shared
+        cache, and the same matrix output as a sequential run."""
         arguments = [
             "sweep", "--arch", "x86_64", "--contract", "CT-SEQ",
             "--cpu", "skylake,coffee-lake", "-s", "AR", "-n", "4",
@@ -178,13 +181,13 @@ class TestCommands:
         sequential = capsys.readouterr().out
         code = main(
             arguments
-            + ["--parallel-cells", "2",
+            + ["-w", "2", "--shards", "1",
                "--cache-dir", str(tmp_path / "traces"),
                "--cache-max-bytes", "4096"]
         )
         assert code == 0
         parallel = capsys.readouterr().out
-        assert "up to 2 cell(s)" in parallel
+        assert "on a pool of 2 worker(s)" in parallel
         # the violation matrix itself is scheduling-independent
         matrix = [
             line for line in sequential.splitlines()
@@ -432,8 +435,7 @@ class TestJournalCommands:
             return [
                 "sweep", "--arch", "x86_64", "--contract", "CT-SEQ,CT-COND",
                 "--cpu", "skylake-v4-patched", "-s", "AR", "-n", "6",
-                "-i", "6", "--seed", "3", "--shards", "2",
-                "--parallel-cells", "2", "--schedule", "work-stealing",
+                "-i", "6", "--seed", "3", "--shards", "2", "-w", "2",
                 flag, journal,
             ]
 
@@ -445,10 +447,15 @@ class TestJournalCommands:
         assert main(argv("--resume")) == 0
         assert self.printed_digest(capsys) == first
 
-    def test_sweep_journal_requires_work_stealing(self, tmp_path):
-        with pytest.raises(SystemExit, match="work-stealing"):
-            main(
-                ["sweep", "--arch", "x86_64", "--contract", "CT-SEQ",
-                 "--cpu", "skylake", "-s", "AR", "-n", "4",
-                 "--journal", str(tmp_path / "ckpt")]
-            )
+    def test_sweep_journal_requires_work_stealing(self, tmp_path, capsys):
+        # journaling checkpoints per-unit completions, which only the
+        # work-stealing pool has; it is the only scheduler now, so the
+        # journal needs no schedule flag, even inline
+        journal = tmp_path / "ckpt"
+        assert main(
+            ["sweep", "--arch", "x86_64", "--contract", "CT-SEQ",
+             "--cpu", "skylake", "-s", "AR", "-n", "4", "-i", "6",
+             "--shards", "2", "--journal", str(journal)]
+        ) == 0
+        assert len(list(journal.glob("shard-*.pkl"))) == 2
+        assert self.printed_digest(capsys)

@@ -1,6 +1,6 @@
 """Tests for the parallel campaign engine: deterministic sharding,
-report merging (coverage union, first-violation-wins), and inline-vs-
-pooled parity."""
+report merging (coverage union, first-violation-wins), digests pinned
+across worker counts, and checkpoint/resume."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.core.campaign import (
     CampaignRunner,
     derive_shard_seed,
     merge_reports,
-    run_campaign,
     shard_budgets,
     shard_fuzzer_config,
 )
@@ -143,32 +142,105 @@ class TestMerging:
             merge_reports([])
 
 
+#: report_digest() of campaigns run at the last commit that fanned shards
+#: out over multiprocessing.Pool, keyed (kind, arch, mode); full-mode
+#: digests hold at -w 1 and -w 2 alike (always --shards 4). The unit pool
+#: must reproduce every one of them. A clean campaign's digest covers
+#: counters only, and those coincide across the two ISAs here.
+PINNED_DIGESTS = {
+    ("clean", "x86_64", "full"): "63c2f1838a3def2581427bbdbb19b65a4a5bd6b2",
+    ("clean", "aarch64", "full"): "63c2f1838a3def2581427bbdbb19b65a4a5bd6b2",
+    ("clean", "x86_64", "first-violation"):
+        "c28fa1f811cdd7d4fba8f5f47b16fecbe032d488",
+    ("clean", "aarch64", "first-violation"):
+        "c28fa1f811cdd7d4fba8f5f47b16fecbe032d488",
+    ("violating", "x86_64", "full"):
+        "22648dbdf4769b783661e87315d4ffb253b07054",
+    ("violating", "aarch64", "full"):
+        "d3ffcd41f3b13a5073c24cb78c35ad15997f4906",
+    ("violating", "x86_64", "first-violation"):
+        "b120c86f1bb9ef38dc8cc8ad5de5c5a42861979d",
+    ("violating", "aarch64", "first-violation"):
+        "f4562b93d25ce2ed29b569164160495d6c8a4cfb",
+}
+#: per-ISA seeds whose 4-shard CT-SEQ campaign finds a V1 within budget
+#: (x86_64 in shard 2, aarch64 in shard 3)
+VIOLATING_SEEDS = {"x86_64": 7, "aarch64": 3}
+
+
+def pinned_config(kind, arch):
+    """The pinned campaigns: a clean CT-COND one and a violating CT-SEQ
+    one."""
+    if kind == "clean":
+        return FuzzerConfig(
+            arch=arch,
+            instruction_subsets=("AR", "MEM", "CB"),
+            contract_name="CT-COND",
+            cpu_preset="skylake",
+            num_test_cases=16,
+            inputs_per_test_case=10,
+            diversity_feedback=False,
+            seed=3,
+        )
+    return FuzzerConfig(
+        arch=arch,
+        instruction_subsets=("AR", "MEM", "CB"),
+        contract_name="CT-SEQ",
+        cpu_preset="skylake-v4-patched",
+        num_test_cases=96,
+        inputs_per_test_case=25,
+        diversity_feedback=True,
+        seed=VIOLATING_SEEDS[arch],
+    )
+
+
+@pytest.fixture(scope="module")
+def pinned_campaign():
+    """Runs each pinned campaign once per module, shared by the pin
+    tests and the tests that inspect the same runs."""
+    runs = {}
+
+    def run(kind, arch, mode="full", workers=1):
+        key = (kind, arch, mode, workers)
+        if key not in runs:
+            runs[key] = CampaignRunner(
+                pinned_config(kind, arch), workers=workers, shards=4,
+                mode=mode,
+            ).run()
+        return runs[key]
+
+    return run
+
+
+class TestDigestPins:
+    @pytest.mark.parametrize("arch", ["x86_64", "aarch64"])
+    @pytest.mark.parametrize("kind", ["clean", "violating"])
+    @pytest.mark.parametrize(
+        "mode,workers",
+        [("full", 1), ("full", 2), ("first-violation", 1)],
+    )
+    def test_matches_parent_digest(
+        self, pinned_campaign, kind, arch, mode, workers
+    ):
+        report = pinned_campaign(kind, arch, mode, workers)
+        assert report.found == (kind == "violating")
+        assert report.report_digest() == PINNED_DIGESTS[(kind, arch, mode)]
+
+
 class TestCampaignRuns:
-    def test_inline_matches_pooled(self):
+    def test_inline_matches_pooled(self, pinned_campaign):
         """The merged report depends on the shard partition only, not on
         the worker count or process scheduling."""
-        config = quick_config()
-        inline = CampaignRunner(config, workers=1, shards=2).run()
-        pooled = CampaignRunner(config, workers=2, shards=2).run()
-        assert inline.merged.test_cases == pooled.merged.test_cases
-        assert inline.merged.inputs_tested == pooled.merged.inputs_tested
-        assert inline.found == pooled.found
-        assert inline.merged.coverage.covered == pooled.merged.coverage.covered
-        assert [r.test_cases for r in inline.shard_reports] == [
-            r.test_cases for r in pooled.shard_reports
-        ]
+        for kind in ("clean", "violating"):
+            inline = pinned_campaign(kind, "x86_64", workers=1)
+            pooled = pinned_campaign(kind, "x86_64", workers=2)
+            assert inline.report_digest() == pooled.report_digest()
+            assert inline.workers == 1 and pooled.workers == 2
 
-    def test_campaign_finds_violation(self):
-        config = quick_config(
-            instruction_subsets=("AR", "MEM", "CB"),
-            num_test_cases=160,
-            inputs_per_test_case=25,
-            diversity_feedback=True,
-            seed=7,
-        )
-        report = run_campaign(config, workers=2, shards=2)
+    def test_campaign_finds_violation(self, pinned_campaign):
+        report = pinned_campaign("violating", "x86_64", workers=2)
         assert report.found
-        assert report.winning_shard in (0, 1)
+        assert report.winning_shard == 2
         assert report.violation.classification.startswith("V1")
         assert "VIOLATION" in report.summary()
         assert report.merged.contract_emulations > 0
@@ -190,19 +262,6 @@ class TestCampaignRuns:
             CampaignRunner(quick_config(), mode="sometimes")
 
 
-def violating_config(**overrides):
-    """A config whose shards reliably find a V1 within their budget."""
-    defaults = dict(
-        instruction_subsets=("AR", "MEM", "CB"),
-        num_test_cases=160,
-        inputs_per_test_case=25,
-        diversity_feedback=True,
-        seed=7,
-    )
-    defaults.update(overrides)
-    return quick_config(**defaults)
-
-
 class TestFirstViolationMode:
     def test_fuzzer_honours_stop_signal(self):
         from repro.core.fuzzer import Fuzzer
@@ -211,12 +270,11 @@ class TestFirstViolationMode:
         assert report.cancelled
         assert report.test_cases == 0
 
-    def test_inline_early_cancel_skips_remaining_shards(self):
-        config = violating_config()
-        full = CampaignRunner(config, workers=1, shards=4).run()
-        early = CampaignRunner(
-            config, workers=1, shards=4, mode="first-violation"
-        ).run()
+    def test_inline_early_cancel_skips_remaining_shards(
+        self, pinned_campaign
+    ):
+        full = pinned_campaign("violating", "x86_64")
+        early = pinned_campaign("violating", "x86_64", "first-violation")
         assert full.found and early.found
         assert early.mode == "first-violation"
         winner = early.winning_shard
@@ -248,14 +306,14 @@ class TestFirstViolationMode:
         assert sum(r.test_cases for r in report.shard_reports) == 16
 
     def test_pooled_early_cancel(self):
-        config = violating_config()
+        config = pinned_config("violating", "x86_64")
         report = CampaignRunner(
-            config, workers=2, shards=2, mode="first-violation"
+            config, workers=2, shards=4, mode="first-violation"
         ).run()
         assert report.found
         assert report.violation.classification.startswith("V1")
         # no shard overshoots its deterministic budget
-        budgets = shard_budgets(config.num_test_cases, 2)
+        budgets = shard_budgets(config.num_test_cases, 4)
         for shard, budget in zip(report.shard_reports, budgets):
             assert shard.test_cases <= budget
         if report.cancelled_shards:
@@ -285,19 +343,19 @@ class TestJournal:
         assert (tmp_path / "ckpt" / "spec.json").exists()
 
     def test_complete_journal_resumes_without_rerunning(self, tmp_path):
-        import repro.core.campaign as campaign_module
+        import repro.core.sweep as sweep_module
 
         first = self.run_journaled(tmp_path)
 
-        def refuse(task):
+        def refuse(config, should_stop=None):
             raise AssertionError("journaled shard was re-run")
 
-        real = campaign_module._run_shard
-        campaign_module._run_shard = refuse
+        real = sweep_module._run_unit
+        sweep_module._run_unit = refuse
         try:
             resumed = self.run_journaled(tmp_path, resume=True)
         finally:
-            campaign_module._run_shard = real
+            sweep_module._run_unit = real
         assert resumed.report_digest() == first.report_digest()
 
     def test_partial_journal_resumes_to_the_same_digest(self, tmp_path):

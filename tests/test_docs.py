@@ -44,4 +44,6 @@ def test_documented_subcommands_cover_the_workflow():
 
 def test_scheduler_and_gc_flags_are_registered():
     flags = check_docs.registered_flags()
-    assert {"parallel-cells", "cache-max-bytes", "cache-dir"} <= flags
+    assert {"workers", "shards", "cache-max-bytes", "cache-dir"} <= flags
+    # one scheduler: the pool size is --workers, nothing else
+    assert not {"parallel-cells", "schedule"} & flags

@@ -10,6 +10,9 @@ fault plan must be byte-identical to fault-free runs.
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -302,7 +305,6 @@ def test_chaos_sweep_digest_matches_fault_free_run(
             ),
             workers=2,
             shards=4,
-            schedule="work-stealing",
             journal_dir=str(root / "journal"),
         )
         return report
@@ -326,6 +328,60 @@ def test_chaos_sweep_digest_matches_fault_free_run(
         faulty.results[0].campaign.merged.test_cases
         == clean.results[0].campaign.merged.test_cases
     )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+#: one campaign on a 2-worker pool, run in a child interpreter; prints
+#: its report digest
+CAMPAIGN_CHILD = """
+import sys
+from repro import api
+options = api.EngineOptions(
+    arch=sys.argv[1], subsets="AR", contract="CT-SEQ",
+    cpu="skylake-v4-patched", num_test_cases=8, inputs_per_test_case=8,
+    seed=3,
+)
+print(api.run_campaign(options, workers=2, shards=4).report_digest())
+"""
+
+
+def campaign_digest_in_child(arch, fault_spec=None, token_dir=None,
+                             timeout=120.0):
+    """Run the campaign in its own process group, so a scheduler that
+    hangs on a dead worker fails this test instead of wedging the
+    suite (and takes its workers down with it)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for name in (faults.ENV_SPEC, faults.ENV_TOKEN_DIR):
+        env.pop(name, None)
+    if fault_spec is not None:
+        env[faults.ENV_SPEC] = fault_spec
+        env[faults.ENV_TOKEN_DIR] = token_dir
+    child = subprocess.Popen(
+        [sys.executable, "-c", CAMPAIGN_CHILD, arch],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"campaign still running after {timeout:.0f}s")
+    assert child.returncode == 0, err
+    return out.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("arch", ["x86_64", "aarch64"])
+def test_chaos_campaign_survives_worker_death(arch, tmp_path):
+    """A campaign whose shard worker is killed mid-shard requeues the
+    shard onto a fresh worker and reproduces the fault-free digest."""
+    tokens = tmp_path / "tokens"
+    faulty = campaign_digest_in_child(
+        arch, fault_spec="sweep.unit=1:1", token_dir=str(tokens)
+    )
+    assert (tokens / "sweep.unit-0.token").exists()  # a worker died
+    assert faulty == campaign_digest_in_child(arch)
 
 
 # -- job lifecycle: cancel, deadline, backpressure ---------------------
@@ -392,6 +448,40 @@ class TestCancellation:
             service.shutdown()
         assert status["state"] == "cancelled"
         assert _wait_no_children(), "campaign workers were orphaned"
+
+    def test_inline_campaign_cancels_mid_shard(self, monkeypatch):
+        # workers=1 runs the one shard in the job's own thread: the
+        # stop signal has to reach the unit itself, not just the gaps
+        # between units
+        import repro.core.sweep as sweep_module
+
+        started = threading.Event()
+        real_run_unit = sweep_module._run_unit
+
+        def run_unit(config, should_stop=None):
+            started.set()
+            return real_run_unit(config, should_stop)
+
+        monkeypatch.setattr(sweep_module, "_run_unit", run_unit)
+        service = CampaignService()
+        try:
+            job_id = service.submit(
+                JobSpec(
+                    kind="campaign",
+                    options=quick_options(
+                        num_test_cases=100000, inputs_per_test_case=10
+                    ),
+                    workers=1,
+                )
+            )
+            assert started.wait(30)
+            service.cancel(job_id)
+            events = list(service.results(job_id))
+            status = service.status(job_id)
+        finally:
+            service.shutdown()
+        assert status["state"] == "cancelled"
+        assert "inside" in events[-1]["error"]
 
     def test_deadline_expiry_lands_in_the_timeout_state(self):
         service = CampaignService()

@@ -61,8 +61,7 @@ class TestJobSpec:
     def test_dict_round_trip(self):
         spec = JobSpec(
             kind="sweep", options=quick_options(),
-            contracts=("CT-SEQ", "CT-COND"), shards=2,
-            schedule="work-stealing",
+            contracts=("CT-SEQ", "CT-COND"), workers=2, shards=2,
         )
         again = JobSpec.from_dict(spec.to_dict())
         assert again == spec

@@ -74,7 +74,6 @@ class TestChecker:
                 "grid": {},
                 "cells": [cell],
                 "timing": {},
-                "scheduling": {},
                 "trace_cache": {},
                 "wall_seconds": 1.0,
                 "trace_cache_disk_hits": 0,
@@ -92,7 +91,6 @@ class TestChecker:
                 "grid": {},
                 "cells": [cell],
                 "timing": {},
-                "scheduling": {},
                 "trace_cache": {},
                 "wall_seconds": 1.0,
                 "trace_cache_disk_hits": 0,
@@ -108,12 +106,12 @@ class TestChecker:
         cell = {key: 0 for key in check_bench_json.CELL_KEYS}
         cross = {
             "grid": {}, "cells": [dict(cell)], "timing": {},
-            "scheduling": {}, "trace_cache": {}, "wall_seconds": 1.0,
+            "trace_cache": {}, "wall_seconds": 1.0,
             "trace_cache_disk_hits": 0, "rerun_disk_hits": 0,
         }
         scaling = {
-            "cores": 4, "cells": [dict(cell)], "max_parallel_cells": 4,
-            "cell_workers": 1, "wall_seconds_sequential": 2.0,
+            "cores": 4, "cells": [dict(cell)], "workers": 4,
+            "wall_seconds_sequential": 2.0,
             "wall_seconds_parallel": 1.0, "speedup": 2.0,
             "trace_cache_max_bytes": 65536, "disk_bytes_sequential": 0,
             "disk_bytes_parallel": 0, "gc_evictions": 1,
@@ -264,8 +262,8 @@ GOOD_WORKSTEALING = {
         "cells": [{key: 0 for key in check_bench_json.CELL_KEYS}],
         "shards_per_cell": 4,
         "total_units": 16,
-        "steal_workers": 4,
-        "wall_seconds_static": 8.0,
+        "workers": 4,
+        "wall_seconds_1_worker": 8.0,
         "wall_seconds_workstealing": 4.0,
         "speedup": 2.0,
         "speedup_gated": True,

@@ -18,10 +18,10 @@ upload on four invariants:
    whose presence would silently break the byte-reproducibility
    contract of ``docs/campaigns-and-sweeps.md`` — and, decisively, the
    ``sweep_cross_isa`` and ``sweep_parallel_scaling`` benchmarks run
-   the *same deterministic grid* under different scheduling (parallel
-   cells, worker budgets, cache GC), so when both sections are present
-   their ``cells`` lists must be byte-identical: a real end-to-end
-   check of the determinism claim on every CI run;
+   the *same deterministic grid* under different scheduling (pool
+   sizes, cache GC), so when both sections are present their ``cells``
+   lists must be byte-identical: a real end-to-end check of the
+   determinism claim on every CI run;
 4. **section value gates** — sections that encode a performance
    contract carry it in their values: ``emulation_throughput`` must
    report a compiled-vs-interpretive ratio >= 2.0 and a
@@ -34,11 +34,11 @@ upload on four invariants:
    report a non-empty corpus with zero FAIL/CHANGED/SKIP verdicts and
    one per-entry detection report (the counterexample-corpus
    regression gate of ``docs/corpus.md``), and ``workstealing`` must
-   report byte-identical work-stealing-vs-static cell reports, a
-   resume run whose report digest matches the uninterrupted run, and —
-   when the host had enough cores to make the claim meaningful
-   (``speedup_gated``) — a >= 1.3x speedup over static cell placement
-   on a heterogeneous grid (the work-stealing scheduler contract of
+   report byte-identical cell reports from a 4-worker and a 1-worker
+   pool, a resume run whose report digest matches the uninterrupted
+   run, and — when the host had enough cores to make the claim
+   meaningful (``speedup_gated``) — a >= 1.3x speedup over one worker
+   on a heterogeneous grid (the unit-pool contract of
    ``docs/campaigns-and-sweeps.md``).
 
 Usage::
@@ -79,7 +79,6 @@ SECTION_SCHEMAS: Dict[str, Set[str]] = {
         "grid",
         "cells",
         "timing",
-        "scheduling",
         "trace_cache",
         "wall_seconds",
         "trace_cache_disk_hits",
@@ -88,8 +87,7 @@ SECTION_SCHEMAS: Dict[str, Set[str]] = {
     "sweep_parallel_scaling": {
         "cores",
         "cells",
-        "max_parallel_cells",
-        "cell_workers",
+        "workers",
         "wall_seconds_sequential",
         "wall_seconds_parallel",
         "speedup",
@@ -141,8 +139,8 @@ SECTION_SCHEMAS: Dict[str, Set[str]] = {
         "cells",
         "shards_per_cell",
         "total_units",
-        "steal_workers",
-        "wall_seconds_static",
+        "workers",
+        "wall_seconds_1_worker",
         "wall_seconds_workstealing",
         "speedup",
         "speedup_gated",
@@ -291,15 +289,15 @@ def _check_corpus_replay(payload) -> List[str]:
 
 
 def _check_workstealing(payload) -> List[str]:
-    """Value gates of the work-stealing scheduler contract: stealing
-    may only move wall clock, never bytes — the merged cell reports
-    must equal the static schedule's, a killed-and-resumed run must
-    reproduce the uninterrupted digest, and on hosts with enough cores
-    the heterogeneous grid must actually go >= 1.3x faster."""
+    """Value gates of the unit-pool contract: the pool size may only
+    move wall clock, never bytes — the 4-worker pool's merged cell
+    reports must equal the 1-worker pool's, a killed-and-resumed run
+    must reproduce the uninterrupted digest, and on hosts with enough
+    cores the heterogeneous grid must actually go >= 1.3x faster."""
     errors = []
     if payload.get("reports_equal") is not True:
         errors.append(
-            "workstealing: reports_equal must be true (work stealing "
+            "workstealing: reports_equal must be true (the pool size "
             "changed the merged cell reports)"
         )
     if payload.get("resume_digest_equal") is not True:
@@ -315,8 +313,8 @@ def _check_workstealing(payload) -> List[str]:
         )
     elif payload.get("speedup_gated") is True and speedup < 1.3:
         errors.append(
-            f"workstealing: speedup must be >= 1.3 over static cell "
-            f"placement on a gated host, got {speedup!r}"
+            f"workstealing: speedup must be >= 1.3 over one worker "
+            f"on a gated host, got {speedup!r}"
         )
     units = payload.get("total_units")
     if not isinstance(units, int) or units < 2:
@@ -382,7 +380,7 @@ CELL_KEYS: Set[str] = {
 }
 
 #: keys that are scheduling-dependent and must never leak into a
-#: deterministic section (they live under ``timing``/``scheduling``)
+#: deterministic section (they live under ``timing``)
 FORBIDDEN_IN_DETERMINISTIC: Set[str] = {
     "wall_seconds",
     "aggregate_seconds",

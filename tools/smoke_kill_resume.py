@@ -157,15 +157,19 @@ def start_serve(state_dir: str):
          "--state-dir", state_dir],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
-        text=True,
+        bufsize=0,  # unbuffered: select() below sees every unread line
         env=env,
         start_new_session=True,  # its own group: job workers die too
     )
+
+    def readline() -> str:
+        return process.stdout.readline().decode("utf-8", "replace")
+
     deadline = time.monotonic() + SERVE_READY_SECONDS
     host, port = None, None
     recovered = []
     while time.monotonic() < deadline:
-        line = process.stdout.readline()
+        line = readline()
         if not line:
             raise RuntimeError("serve exited before listening")
         sys.stdout.write(f"  serve: {line}")
@@ -181,7 +185,7 @@ def start_serve(state_dir: str):
         ready, _, _ = select.select([process.stdout], [], [], 0.1)
         if not ready:
             continue
-        line = process.stdout.readline()
+        line = readline()
         if not line:
             break
         sys.stdout.write(f"  serve: {line}")
