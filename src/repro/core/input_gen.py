@@ -12,21 +12,10 @@ range, exactly the trade-off the paper describes.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.emulator.state import InputData, SandboxLayout
-
-#: process-global memo of generated inputs. An input's content is a pure
-#: function of (input seed, entropy, register pool, layout, flag
-#: handling) — everything in the memo key — and :class:`InputData` is
-#: frozen, so sharing instances is safe. Deterministic campaign shards
-#: and sweep cells regenerate identical batteries (same config seeds) in
-#: one worker process; the memo lets them share the InputData objects
-#: instead of re-deriving register files and sandbox images per cell.
-_INPUT_MEMO: "OrderedDict[tuple, InputData]" = OrderedDict()
-_INPUT_MEMO_CAPACITY = 4096
 
 
 @dataclass
@@ -68,26 +57,14 @@ class InputGenerator:
     def generate_one(self, input_seed: Optional[int] = None) -> InputData:
         """Generate a single input (optionally from an explicit seed).
 
-        The generator's own PRNG always advances (the input-seed draw
-        comes first), so determinism is untouched by the memo below:
-        content is re-derived only the first time a (seed, entropy,
-        registers, layout, flags) combination is seen in this process.
+        Without ``input_seed`` the input's seed is the next 32-bit draw
+        of the generator's own PRNG. An explicit ``input_seed`` leaves
+        that PRNG untouched, so the generator's next seed-less input is
+        the one it would have produced without this call.
         """
         seed = (
             input_seed if input_seed is not None else self._rng.getrandbits(32)
         )
-        memo_key = (
-            seed,
-            self.entropy_bits,
-            tuple(self.registers),
-            self.layout,
-            self.randomize_flags,
-            tuple(self.flag_bits),
-        )
-        cached = _INPUT_MEMO.get(memo_key)
-        if cached is not None:
-            _INPUT_MEMO.move_to_end(memo_key)
-            return cached
         rng = random.Random(seed)
         registers = {name: self._value(rng) for name in self.registers}
         flags = (
@@ -95,19 +72,34 @@ class InputGenerator:
             if self.randomize_flags
             else {}
         )
-        memory = bytearray(self.layout.size)
-        for offset in range(0, self.layout.size, 8):
-            memory[offset : offset + 8] = self._value(rng).to_bytes(8, "little")
-        input_data = InputData(
+        return InputData(
             registers=registers,
             flags=flags,
-            memory=bytes(memory),
+            memory=self._sandbox_image(rng),
             seed=seed,
         )
-        _INPUT_MEMO[memo_key] = input_data
-        while len(_INPUT_MEMO) > _INPUT_MEMO_CAPACITY:
-            _INPUT_MEMO.popitem(last=False)
-        return input_data
+
+    def _sandbox_image(self, rng: random.Random) -> bytes:
+        """One :meth:`_value` per 8-byte sandbox word, drawn in bulk.
+
+        ``getrandbits(32 * words)`` fills its result least significant
+        32-bit word first, so word *i* of one bulk draw equals the
+        *i*-th of ``words`` consecutive ``getrandbits(32)`` calls, and
+        the PRNG ends in the same state. Each word is masked to
+        ``entropy_bits``, widened to a little-endian 8-byte slot, and the
+        whole image is shifted by 6: a slot holds at most 38 bits, so no
+        bit crosses into the next slot.
+        """
+        words = self.layout.size // 8
+        word_mask = (1 << self.entropy_bits) - 1
+        masked = rng.getrandbits(32 * words) & int.from_bytes(
+            word_mask.to_bytes(4, "little") * words, "little"
+        )
+        packed = masked.to_bytes(4 * words, "little")
+        slots = bytearray(8 * words)
+        for byte in range(4):
+            slots[byte::8] = packed[byte::4]
+        return (int.from_bytes(slots, "little") << 6).to_bytes(8 * words, "little")
 
     def generate(self, count: int) -> List[InputData]:
         """Generate a priming sequence of ``count`` pseudorandom inputs."""

@@ -136,10 +136,10 @@ class ArchState:
             if flag not in self.flags:
                 raise KeyError(f"unknown flag: {flag!r}")
             self.flags[flag] = bool(value)
-        data = input_data.memory[: self.layout.size]
+        size = self.layout.size
+        data = input_data.memory[:size]
         self.memory[: len(data)] = data
-        for i in range(len(data), self.layout.size):
-            self.memory[i] = 0
+        self.memory[len(data) : size] = bytes(size - len(data))
         self._reset_fixed_registers()
 
     # -- registers ---------------------------------------------------------

@@ -4,6 +4,15 @@ The cache is the side channel: the executor mounts Prime+Probe /
 Flush+Reload / Evict+Reload attacks against it (paper §5.3). Attacker
 lines are modelled as negative tags so they can never collide with victim
 lines.
+
+Prime+Probe costs what the victim touched, not the cache's size. Every
+change to a set goes through ``access``, ``flush_line`` or ``flush_all``,
+and each records the sets it changed; ``prime`` refills and ``probe``
+counts only the sets recorded since the last prime. Every other set still
+holds exactly the attacker lines prime put there, in prime's order, so it
+needs no refill and shows no eviction. Victims never reference the
+negative attacker tags, so for them the record is just the sets their
+lines map to.
 """
 
 from __future__ import annotations
@@ -24,6 +33,13 @@ class L1DCache:
         self.ways = ways
         self.line_size = line_size
         self._sets: List[List[int]] = [[] for _ in range(num_sets)]
+        #: each set's attacker tags in prime order
+        self._attacker_tags = [
+            tuple(-(1 + index * ways + way) for way in range(ways))
+            for index in range(num_sets)
+        ]
+        #: sets changed since the last prime (all of them before the first)
+        self._touched: Set[int] = set(range(num_sets))
 
     def set_index(self, address: int) -> int:
         """The cache set an address maps to."""
@@ -37,6 +53,7 @@ class L1DCache:
         """Access one line: return True on hit; update LRU; fill on miss."""
         index = self.set_index(address)
         tag = self.tag(address)
+        self._touched.add(index)
         lines = self._sets[index]
         if tag in lines:
             lines.remove(tag)
@@ -58,30 +75,34 @@ class L1DCache:
         lines = self._sets[index]
         if tag in lines:
             lines.remove(tag)
+            self._touched.add(index)
 
     def flush_all(self) -> None:
         """WBINVD-style full flush."""
         self._sets = [[] for _ in range(self.num_sets)]
+        self._touched = set(range(self.num_sets))
 
     # -- attacker primitives --------------------------------------------------
 
     def prime(self) -> None:
         """Prime+Probe step 1: fill every way of every set with attacker
-        lines. Attacker tags are negative so they never alias victim lines."""
-        for index in range(self.num_sets):
-            self._sets[index] = [
-                -(1 + index * self.ways + way) for way in range(self.ways)
-            ]
+        lines. Attacker tags are negative so they never alias victim lines.
+        Only the sets changed since the last prime need refilling."""
+        sets, attacker_tags = self._sets, self._attacker_tags
+        for index in self._touched:
+            sets[index] = list(attacker_tags[index])
+        self._touched.clear()
 
     def probe(self) -> Set[int]:
         """Prime+Probe step 2: sets where at least one attacker line was
-        evicted, i.e. sets the victim touched."""
-        touched: Set[int] = set()
-        for index, lines in enumerate(self._sets):
-            attacker_lines = sum(1 for tag in lines if tag < 0)
-            if attacker_lines < self.ways:
-                touched.add(index)
-        return touched
+        evicted, i.e. sets the victim touched. A new set on every call;
+        only sets changed since the last prime can have lost a line."""
+        sets, ways = self._sets, self.ways
+        return {
+            index
+            for index in self._touched
+            if sum(1 for tag in sets[index] if tag < 0) < ways
+        }
 
     def evict_region(self, base: int, size: int) -> None:
         """Evict+Reload preparation: evict every line of a memory region."""

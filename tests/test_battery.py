@@ -407,10 +407,9 @@ def test_compiled_ir_shared_across_pipelines():
     assert shared_compiled_cache().hits > hits_before
 
 
-def test_input_memo_shares_identical_batteries():
-    """Two generators with the same configuration produce not just equal
-    but *identical* InputData objects (the process-global memo), and the
-    memo never perturbs the generated sequence."""
+def test_equal_configs_generate_equal_batteries():
+    """Two generators with the same configuration produce equal
+    batteries: an input is a pure function of the configuration."""
     arch = get_architecture("x86_64")
     layout = SandboxLayout()
 
@@ -425,7 +424,6 @@ def test_input_memo_shares_identical_batteries():
     first = make()
     second = make()
     assert first == second
-    assert all(a is b for a, b in zip(first, second))
 
 
 # -- masked-access fusion -----------------------------------------------------

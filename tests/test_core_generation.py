@@ -1,10 +1,14 @@
 """Tests for test-case generation (§5.1) and input generation (§5.2)."""
 
+import hashlib
+import random
+
 import pytest
 
+from repro.arch import get_architecture
 from repro.isa.instruction_set import instruction_subset
 from repro.emulator.machine import Emulator
-from repro.emulator.state import SandboxLayout
+from repro.emulator.state import InputData, SandboxLayout
 from repro.core.config import GeneratorConfig
 from repro.core.generator import TestCaseGenerator
 from repro.core.input_gen import InputGenerator
@@ -193,6 +197,14 @@ class TestInputGenerator:
         b = generator.generate_one(input_seed=77)
         assert a.fingerprint() == b.fingerprint()
 
+    def test_explicit_input_seed_leaves_the_prng_alone(self, layout):
+        """Only seed-less inputs draw from the generator's PRNG, so an
+        explicit-seed input in between shifts no later input."""
+        generator = InputGenerator(seed=0, layout=layout)
+        generator.generate_one(input_seed=77)
+        fresh = InputGenerator(seed=0, layout=layout)
+        assert generator.generate_one() == fresh.generate_one()
+
     def test_higher_entropy_more_values(self, layout):
         low = InputGenerator(seed=0, entropy_bits=1, layout=layout)
         high = InputGenerator(seed=0, entropy_bits=16, layout=layout)
@@ -243,3 +255,80 @@ class TestInputGenerator:
             classes, singles = analyzer.build_classes(ctraces)
             scores[bits] = sum(c.size for c in classes) / 20
         assert scores[1] >= scores[10]
+
+
+# -- reference oracle for the bulk sandbox draw --------------------------------
+
+
+def _per_word_input(input_seed, entropy_bits, registers, flag_bits, layout,
+                    randomize_flags=True):
+    """One input built one PRNG call per register, flag and sandbox word:
+    the generator's original loop, kept here as the oracle."""
+    rng = random.Random(input_seed)
+
+    def value():
+        return (rng.getrandbits(32) & ((1 << entropy_bits) - 1)) << 6
+
+    values = {name: value() for name in registers}
+    flags = (
+        {flag: bool(rng.getrandbits(1)) for flag in flag_bits}
+        if randomize_flags
+        else {}
+    )
+    memory = bytearray(layout.size)
+    for offset in range(0, layout.size, 8):
+        memory[offset : offset + 8] = value().to_bytes(8, "little")
+    return InputData(values, flags, bytes(memory), input_seed)
+
+
+def _per_word_inputs(seed, count, **kwargs):
+    outer = random.Random(seed)
+    return [
+        _per_word_input(outer.getrandbits(32), **kwargs) for _ in range(count)
+    ]
+
+
+def _pool(arch_name):
+    arch = get_architecture(arch_name)
+    return {
+        "registers": arch.default_register_pool,
+        "flag_bits": arch.registers.flag_bits,
+    }
+
+
+class TestBulkSandboxDraw:
+    """The one-call sandbox draw reproduces the per-word loop exactly:
+    registers, flags, memory and seed, input by input."""
+
+    @pytest.mark.parametrize("num_pages", [1, 2])
+    @pytest.mark.parametrize("entropy_bits", [1, 2, 3, 8, 16, 31, 32])
+    @pytest.mark.parametrize("arch_name", ["x86_64", "aarch64"])
+    def test_matches_per_word_loop(self, arch_name, entropy_bits, num_pages):
+        layout = SandboxLayout(num_pages=num_pages)
+        config = dict(entropy_bits=entropy_bits, layout=layout, **_pool(arch_name))
+        for seed in range(50):
+            generated = InputGenerator(seed=seed, **config).generate(2)
+            assert generated == _per_word_inputs(seed, 2, **config)
+
+    @pytest.mark.parametrize("arch_name", ["x86_64", "aarch64"])
+    def test_explicit_seed_and_fixed_flags(self, arch_name):
+        layout = SandboxLayout()
+        config = dict(entropy_bits=5, layout=layout, randomize_flags=False,
+                      **_pool(arch_name))
+        generator = InputGenerator(seed=9, **config)
+        assert generator.generate_one(input_seed=77) == _per_word_input(77, **config)
+        assert generator.generate(3) == _per_word_inputs(9, 3, **config)
+        assert all(not input_data.flags for input_data in generator.generate(3))
+
+    @pytest.mark.parametrize("entropy_bits, digest", [
+        (2, "90b5af8b40dad3fc0a3474a07d67dff0e02a56a0"),
+        (31, "673ce430e8e0ce527d4f498b946e9760e4bd5e32"),
+    ])
+    def test_memory_image_digest_is_pinned(self, entropy_bits, digest):
+        """Independent of both implementations above: the sha1 of one
+        sandbox image as the per-word loop generated it."""
+        generator = InputGenerator(seed=3, entropy_bits=entropy_bits,
+                                   layout=SandboxLayout(), **_pool("x86_64"))
+        input_data = generator.generate(2)[1]
+        assert input_data.seed == 2545373330
+        assert hashlib.sha1(input_data.memory).hexdigest() == digest

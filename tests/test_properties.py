@@ -11,7 +11,7 @@ cross-component invariants:
 - cache LRU invariants and trace algebra.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.isa.assembler import parse_program, render_program
@@ -273,6 +273,131 @@ class TestCacheProperties:
             cache.access(0x10000 + address)
         expected = {cache.set_index(0x10000 + a) for a in addresses}
         assert cache.probe() == expected
+
+
+class _FullRebuildCache:
+    """The cache's original Prime+Probe: prime rebuilds every set and
+    probe counts attacker lines in every set. The oracle for the
+    touched-set bookkeeping of :class:`L1DCache`."""
+
+    def __init__(self, num_sets, ways, line_size):
+        self.num_sets, self.ways, self.line_size = num_sets, ways, line_size
+        self.sets = [[] for _ in range(num_sets)]
+
+    def _locate(self, address):
+        return (address // self.line_size) % self.num_sets, address // self.line_size
+
+    def access(self, address):
+        index, tag = self._locate(address)
+        lines = self.sets[index]
+        if tag in lines:
+            lines.remove(tag)
+            lines.insert(0, tag)
+            return True
+        lines.insert(0, tag)
+        if len(lines) > self.ways:
+            lines.pop()
+        return False
+
+    def contains(self, address):
+        index, tag = self._locate(address)
+        return tag in self.sets[index]
+
+    def flush_line(self, address):
+        index, tag = self._locate(address)
+        if tag in self.sets[index]:
+            self.sets[index].remove(tag)
+
+    def flush_all(self):
+        self.sets = [[] for _ in range(self.num_sets)]
+
+    def prime(self):
+        self.sets = [
+            [-(1 + index * self.ways + way) for way in range(self.ways)]
+            for index in range(self.num_sets)
+        ]
+
+    def probe(self):
+        return {
+            index
+            for index, lines in enumerate(self.sets)
+            if sum(1 for tag in lines if tag < 0) < self.ways
+        }
+
+    def evict_region(self, base, size):
+        address = base - base % self.line_size
+        while address < base + size:
+            self.flush_line(address)
+            address += self.line_size
+
+    def cached_lines(self, base, size):
+        first_line = base // self.line_size
+        address = base - base % self.line_size
+        cached = set()
+        while address < base + size:
+            if self.contains(address):
+                cached.add(address // self.line_size - first_line)
+            address += self.line_size
+        return cached
+
+    def snapshot_tags(self):
+        return [list(lines) for lines in self.sets]
+
+
+_GEOMETRIES = [(1, 2, 64), (2, 1, 64), (4, 3, 64), (8, 4, 32), (64, 8, 64)]
+
+
+@st.composite
+def cache_scenarios(draw):
+    """A geometry and a sequence of cache operations on it. Addresses
+    span a few times the cache's capacity, so lines collide, get evicted
+    and get reloaded; negative ones reach the attacker tags, which a
+    victim never does but the bookkeeping must survive too."""
+    num_sets, ways, line_size = geometry = draw(st.sampled_from(_GEOMETRIES))
+    lines = num_sets * ways
+    address = st.builds(
+        lambda line, offset: line * line_size + offset,
+        st.integers(-lines - 1, 4 * lines),
+        st.integers(0, line_size - 1),
+    )
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["access", "flush_line", "contains"]), address),
+        st.tuples(st.sampled_from(["evict_region", "cached_lines"]), address,
+                  st.integers(0, 2 * lines * line_size)),
+        st.tuples(st.sampled_from(["flush_all", "prime", "probe"])),
+    ), max_size=80))
+    return geometry, ops
+
+
+class TestTouchedSetPrimeProbe:
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=cache_scenarios())
+    # one example per way a set changes outside a victim miss: never
+    # primed, a hit on an attacker line (reorders the set), a flush that
+    # removes an attacker line, a full flush
+    @example(scenario=((4, 3, 64), [("probe",)]))
+    @example(scenario=((1, 2, 64), [("prime",), ("access", -128), ("prime",)]))
+    @example(scenario=((1, 2, 64), [("prime",), ("flush_line", -64), ("probe",)]))
+    @example(scenario=((4, 3, 64), [("prime",), ("flush_all",), ("prime",)]))
+    def test_matches_full_rebuild(self, scenario):
+        geometry, ops = scenario
+        cache = L1DCache(*geometry)
+        oracle = _FullRebuildCache(*geometry)
+        for op, *args in ops:
+            assert getattr(cache, op)(*args) == getattr(oracle, op)(*args), op
+            assert cache.snapshot_tags() == oracle.snapshot_tags(), op
+
+    @given(addresses=st.lists(st.integers(0, 8191), min_size=1, max_size=32))
+    def test_held_probe_survives_prime(self, addresses):
+        cache = L1DCache()
+        cache.prime()
+        for address in addresses:
+            cache.access(0x10000 + address)
+        held = cache.probe()
+        expected = set(held)
+        cache.prime()
+        assert held == expected
+        assert cache.probe() == set()
 
 
 class TestTraceAlgebra:
