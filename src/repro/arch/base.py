@@ -67,6 +67,10 @@ class RegisterFile:
         self.sandbox_base_register = sandbox_base_register
         self.stack_register = stack_register
         self._view_name_fn = view_name_fn
+        #: every register and flag at its reset value; states copy these
+        #: instead of rebuilding them per input
+        self.zero_registers: Dict[str, int] = dict.fromkeys(self.gpr_names, 0)
+        self.zero_flags: Dict[str, bool] = dict.fromkeys(self.flag_bits, False)
 
     def canonical(self, name: str) -> str:
         """The canonical register backing view ``name``."""

@@ -25,8 +25,9 @@ resolution through a dict of names.
   ``base + index + displacement`` address closures with a fixed width;
 - **static metadata** the execution engines used to re-derive per step:
   category, fence/serializing bits, register/flag read–write sets,
-  address vs. data registers, latency class, and the constant fields of
-  the model's :class:`~repro.traces.ExecutionLogEntry`.
+  address vs. data registers, the CPU model's issue set, latency class,
+  and the constant fields of the model's
+  :class:`~repro.traces.ExecutionLogEntry`.
 
 The compiled path is **byte-identical** to the interpretive one: every
 ``run`` closure performs the same state transitions, raises the same
@@ -354,10 +355,13 @@ class DecodedOp:
     is_indirect_branch: bool
     is_load: bool
     is_store: bool
-    #: a store that loads nothing: issues on data readiness (V4 modelling)
-    pure_store: bool
     # -- dataflow -----------------------------------------------------------
     registers_read: Tuple[str, ...]
+    #: the registers the issue cycle waits on: ``registers_read``, minus
+    #: the address-only registers of a store that loads nothing (it
+    #: issues on data readiness; its address resolves later through the
+    #: AGU, which enables V4 and the Appendix A.6 variant)
+    issue_regs: Tuple[str, ...]
     registers_written: Tuple[str, ...]
     flags_read: Tuple[str, ...]
     flags_written: Tuple[str, ...]
@@ -486,6 +490,13 @@ def decode_op(instruction: Instruction, pc: int, arch,
 
     registers_read = instruction.registers_read()
     registers_written = instruction.registers_written()
+    if is_store and not is_load:
+        issue_regs = tuple(
+            register for register in registers_read
+            if register not in addr_regs or register in data_regs
+        )
+    else:
+        issue_regs = registers_read
     is_cond_branch = category == "CB"
     is_uncond_branch = category == "UNCOND"
     is_indirect_branch = category == "IND"
@@ -518,8 +529,8 @@ def decode_op(instruction: Instruction, pc: int, arch,
         is_indirect_branch=is_indirect_branch,
         is_load=is_load,
         is_store=is_store,
-        pure_store=is_store and not is_load,
         registers_read=registers_read,
+        issue_regs=issue_regs,
         registers_written=registers_written,
         flags_read=spec.flags_read,
         flags_written=spec.flags_written,

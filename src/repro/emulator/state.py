@@ -111,36 +111,45 @@ class ArchState:
 
     def __init__(self, layout: Optional[SandboxLayout] = None, arch=None):
         self.arch = arch or _default_architecture()
-        self.layout = layout or SandboxLayout()
+        self.layout = layout = layout or SandboxLayout()
         regfile = self.arch.registers
-        self.registers: Dict[str, int] = {name: 0 for name in regfile.gpr_names}
-        self.flags: Dict[str, bool] = {flag: False for flag in regfile.flag_bits}
-        self.memory = bytearray(self.layout.size)
-        self._reset_fixed_registers()
-
-    def _reset_fixed_registers(self) -> None:
-        regfile = self.arch.registers
-        self.registers[regfile.sandbox_base_register] = self.layout.base
+        self.registers: Dict[str, int] = dict(regfile.zero_registers)
+        self.flags: Dict[str, bool] = dict(regfile.zero_flags)
+        # the sandbox bounds as plain ints: every memory access checks them
+        self._base = layout.base
+        self._end = layout.end
+        self.memory = bytearray(layout.size)
+        #: the registers the sandbox convention fixes, whatever the input
+        self._fixed_registers: Dict[str, int] = {
+            regfile.sandbox_base_register: self._base
+        }
         if regfile.stack_register is not None:
-            self.registers[regfile.stack_register] = self.layout.stack_top
+            self._fixed_registers[regfile.stack_register] = layout.stack_top
+        self.registers.update(self._fixed_registers)
 
     def load_input(self, input_data: InputData) -> None:
-        """Reset the state and apply an input (paper §5.3 step 2)."""
-        for name in self.arch.registers.gpr_names:
-            self.registers[name] = 0
-        for flag in self.arch.registers.flag_bits:
-            self.flags[flag] = False
+        """Reset the state and apply an input (paper §5.3 step 2).
+
+        Inputs are applied in order through :meth:`write_register`, so a
+        narrow view merges into the value an earlier entry wrote and an
+        unknown register is rejected.
+        """
+        regfile = self.arch.registers
+        registers = self.registers
+        registers.update(regfile.zero_registers)
+        flags = self.flags
+        flags.update(regfile.zero_flags)
         for name, value in input_data.registers.items():
             self.write_register(name, value)
         for flag, value in input_data.flags.items():
-            if flag not in self.flags:
+            if flag not in flags:
                 raise KeyError(f"unknown flag: {flag!r}")
-            self.flags[flag] = bool(value)
+            flags[flag] = bool(value)
         size = self.layout.size
         data = input_data.memory[:size]
         self.memory[: len(data)] = data
         self.memory[len(data) : size] = bytes(size - len(data))
-        self._reset_fixed_registers()
+        registers.update(self._fixed_registers)
 
     # -- registers ---------------------------------------------------------
 
@@ -154,15 +163,16 @@ class ArchState:
     def write_register(self, name: str, value: int) -> None:
         """Write a register view: 64-bit writes replace, 32-bit writes
         zero-extend (x86-64 and AArch64 agree), narrower views merge."""
-        regfile = self.arch.registers
-        canonical = regfile.canonical(name)
-        width = regfile.width(name)
-        value &= _WIDTH_MASKS[width]
+        try:
+            canonical, width = self.arch.registers.views[name.upper()]
+        except KeyError:
+            raise ValueError(f"unknown register: {name!r}") from None
+        mask = _WIDTH_MASKS[width]
+        value &= mask
         if width >= 32:
             # 64-bit writes replace; 32-bit writes zero the upper half.
             self.registers[canonical] = value
         else:
-            mask = _WIDTH_MASKS[width]
             old = self.registers[canonical]
             self.registers[canonical] = (old & ~mask) | value
 
@@ -179,19 +189,19 @@ class ArchState:
     # -- memory --------------------------------------------------------------
 
     def _check_bounds(self, address: int, size: int) -> None:
-        if not self.layout.contains(address, size):
+        if not (self._base <= address and address + size <= self._end):
             raise SandboxViolation(address, size, repr(self.layout))
 
     def read_memory(self, address: int, size: int) -> int:
         """Read ``size`` bytes at ``address`` (little-endian integer)."""
         self._check_bounds(address, size)
-        offset = address - self.layout.base
+        offset = address - self._base
         return int.from_bytes(self.memory[offset : offset + size], "little")
 
     def write_memory(self, address: int, size: int, value: int) -> None:
         """Write ``size`` bytes at ``address`` (little-endian)."""
         self._check_bounds(address, size)
-        offset = address - self.layout.base
+        offset = address - self._base
         value &= (1 << (size * 8)) - 1
         self.memory[offset : offset + size] = value.to_bytes(size, "little")
 

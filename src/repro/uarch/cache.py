@@ -6,13 +6,17 @@ lines are modelled as negative tags so they can never collide with victim
 lines.
 
 Prime+Probe costs what the victim touched, not the cache's size. Every
-change to a set goes through ``access``, ``flush_line`` or ``flush_all``,
-and each records the sets it changed; ``prime`` refills and ``probe``
-counts only the sets recorded since the last prime. Every other set still
-holds exactly the attacker lines prime put there, in prime's order, so it
-needs no refill and shows no eviction. Victims never reference the
-negative attacker tags, so for them the record is just the sets their
-lines map to.
+change to a set goes through ``access``, ``evict_region`` (which
+``flush_line`` calls) or ``flush_all``, and each records the sets it
+changed; ``prime`` refills and ``probe`` counts only the sets recorded
+since the last prime. Every other set still holds exactly the attacker
+lines prime put there, in prime's order, so it needs no refill and shows
+no eviction. Victims never reference the negative attacker tags, so for
+them the record is just the sets their lines map to.
+
+Flush+Reload and Evict+Reload walk the monitored region once per
+measurement; ``evict_region`` and ``cached_lines`` iterate over its line
+numbers with the set lookup inline.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ class L1DCache:
 
     def access(self, address: int) -> bool:
         """Access one line: return True on hit; update LRU; fill on miss."""
-        index = self.set_index(address)
-        tag = self.tag(address)
+        tag = address // self.line_size  # tag() and set_index(), inline
+        index = tag % self.num_sets
         self._touched.add(index)
         lines = self._sets[index]
         if tag in lines:
@@ -66,16 +70,11 @@ class L1DCache:
 
     def contains(self, address: int) -> bool:
         """Is the line holding ``address`` currently cached? (no LRU update)"""
-        return self.tag(address) in self._sets[self.set_index(address)]
+        return bool(self.cached_lines(address, 1))
 
     def flush_line(self, address: int) -> None:
         """CLFLUSH: evict the line holding ``address`` if present."""
-        index = self.set_index(address)
-        tag = self.tag(address)
-        lines = self._sets[index]
-        if tag in lines:
-            lines.remove(tag)
-            self._touched.add(index)
+        self.evict_region(address, 1)
 
     def flush_all(self) -> None:
         """WBINVD-style full flush."""
@@ -104,23 +103,31 @@ class L1DCache:
             if sum(1 for tag in sets[index] if tag < 0) < ways
         }
 
+    def _region_lines(self, base: int, size: int) -> range:
+        """Line numbers (= tags) of the lines ``[base, base + size)``
+        overlaps; an unaligned base with size 0 still names its line."""
+        line_size = self.line_size
+        return range(base // line_size, (base + size - 1) // line_size + 1)
+
     def evict_region(self, base: int, size: int) -> None:
-        """Evict+Reload preparation: evict every line of a memory region."""
-        address = base - base % self.line_size
-        while address < base + size:
-            self.flush_line(address)
-            address += self.line_size
+        """Evict+Reload preparation: evict every line of a memory region.
+        A set counts as touched only when a line actually leaves it."""
+        sets, num_sets, touched = self._sets, self.num_sets, self._touched
+        for tag in self._region_lines(base, size):
+            index = tag % num_sets
+            lines = sets[index]
+            if tag in lines:
+                lines.remove(tag)
+                touched.add(index)
 
     def cached_lines(self, base: int, size: int) -> Set[int]:
         """Flush/Evict+Reload probe: indices of region lines that are cached."""
-        cached: Set[int] = set()
-        first_line = base // self.line_size
-        address = base - base % self.line_size
-        while address < base + size:
-            if self.contains(address):
-                cached.add(address // self.line_size - first_line)
-            address += self.line_size
-        return cached
+        sets, num_sets = self._sets, self.num_sets
+        region = self._region_lines(base, size)
+        first_line = region.start
+        return {
+            tag - first_line for tag in region if tag in sets[tag % num_sets]
+        }
 
     def snapshot_tags(self) -> List[List[int]]:
         """Copy of the full tag state (tests and diagnostics)."""

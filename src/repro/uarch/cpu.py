@@ -192,13 +192,28 @@ class SpeculativeCPU:
         config = self.config
         info = RunInfo()
 
+        # per-run constants and bound methods, looked up once
+        max_depth = config.max_speculation_depth
+        rob_size = config.rob_size
+        base_latency = config.base_latency
+        multiply_latency = config.multiply_latency
+        load_hit_latency = config.load_hit_latency
+        load_miss_latency = config.load_miss_latency
+        store_agu_latency = config.store_agu_latency
+        speculative_stores_visible = config.speculative_stores_update_cache
+        assist_pages = self.assist_pages
+        cache_access = self.cache.access
+        lfb_record = self.lfb.record
+        record_speculative = info.speculative_accesses.append
+
         regfile = self.arch.registers
-        reg_ready: Dict[str, int] = {name: 0 for name in regfile.gpr_names}
-        flag_ready: Dict[str, int] = {flag: 0 for flag in regfile.flag_bits}
+        reg_ready: Dict[str, int] = dict.fromkeys(regfile.gpr_names, 0)
+        flag_ready: Dict[str, int] = dict.fromkeys(regfile.flag_bits, 0)
         store_buffer: List[_StoreEntry] = []
         frames: List[_Frame] = []
         pc = 0
         cycle = 0
+        executed = 0
         end = len(ops)
 
         def timing_snapshot() -> _Timing:
@@ -226,7 +241,7 @@ class SpeculativeCPU:
             return min(range(len(frames)), key=lambda i: frames[i].squash_cycle)
 
         while True:
-            if info.instructions_executed >= max_steps:
+            if executed >= max_steps:
                 raise ExecutionLimitExceeded(
                     f"CPU exceeded {max_steps} instructions"
                 )
@@ -237,7 +252,6 @@ class SpeculativeCPU:
                 break
 
             op = ops[pc]
-            instruction = op.instruction
             speculative = bool(frames)
 
             # A serializing fence (LFENCE/MFENCE on x86, DSB/ISB on
@@ -248,22 +262,18 @@ class SpeculativeCPU:
                 continue
 
             # -- issue cycle: dataflow stalls --------------------------------
-            addr_regs = op.addr_regs
-            data_regs = op.data_regs
-            pure_store = op.pure_store
             issue = cycle
-            for register in op.registers_read:
-                if pure_store and register in addr_regs and register not in data_regs:
-                    # a pure store issues on data readiness; its address
-                    # resolves later through the AGU (enables V4 and A.6)
-                    continue
-                issue = max(issue, reg_ready[register])
+            for register in op.issue_regs:
+                ready = reg_ready[register]
+                if ready > issue:
+                    issue = ready
             for flag in op.flags_read:
-                issue = max(issue, flag_ready[flag])
-
-            addr_ready_input = max(
-                [issue] + [reg_ready[r] for r in addr_regs]
-            )
+                ready = flag_ready[flag]
+                if ready > issue:
+                    issue = ready
+            # a store's address resolves from this dataflow cycle, before
+            # any store-bypass stall below
+            data_issue = issue
 
             # -- squash deadline check ----------------------------------------
             if frames:
@@ -273,11 +283,17 @@ class SpeculativeCPU:
                     continue
 
             # (address, size) of each explicit memory operand, from the
-            # IR's precompiled address closures
-            pre_accesses = [
-                (address_of(state), size)
-                for address_of, size in op.mem_operands
-            ]
+            # IR's precompiled address closures. Only an armed assist page
+            # or a load meeting buffered stores reads them, and they must
+            # be taken before ``op.run``: ``MOV RAX, [RAX]``, POP and RET
+            # overwrite their own address registers.
+            assist_armed = assist_pages and len(frames) < max_depth
+            may_bypass = op.is_load and store_buffer
+            if assist_armed or may_bypass:
+                pre_accesses = [
+                    (address_of(state), size)
+                    for address_of, size in op.mem_operands
+                ]
             # (address, size, architectural value) to restore right after
             # this instruction executes: value injections (bypass/assist)
             # must only be visible to the injected load itself
@@ -285,14 +301,14 @@ class SpeculativeCPU:
 
             # -- microcode assist (\*+Assist executor modes) -------------------
             assist_fired = False
-            if self.assist_pages and len(frames) < config.max_speculation_depth:
+            if assist_armed:
                 for address, size in pre_accesses:
                     if not self.layout.contains(address, size):
                         continue
                     page = self.layout.page_of(address)
-                    if page not in self.assist_pages:
+                    if page not in assist_pages:
                         continue
-                    self.assist_pages.discard(page)
+                    assist_pages.discard(page)
                     info.assists_triggered += 1
                     frames.append(
                         _Frame(
@@ -320,11 +336,7 @@ class SpeculativeCPU:
                     break
 
             # -- store bypass (Spectre V4) -------------------------------------
-            if (
-                not assist_fired
-                and op.is_load
-                and store_buffer
-            ):
+            if may_bypass and not assist_fired:
                 for address, size in pre_accesses:
                     entry = self._youngest_overlap(store_buffer, address, size)
                     if entry is None:
@@ -337,7 +349,7 @@ class SpeculativeCPU:
                         continue
                     can_bypass = (
                         config.store_bypass
-                        and len(frames) < config.max_speculation_depth
+                        and len(frames) < max_depth
                         and self.disambiguator.predict_no_alias(pc)
                     )
                     if not can_bypass:
@@ -376,7 +388,7 @@ class SpeculativeCPU:
                     pc = squash(earliest_frame())
                     continue
                 raise
-            info.instructions_executed += 1
+            executed += 1
             if trace_hook is not None:
                 trace_hook(pc, issue, bool(frames))
             if pending_unpatch is not None:
@@ -391,45 +403,46 @@ class SpeculativeCPU:
             if latency_class == "division":
                 latency = self._division_latency_of(op)
             elif latency_class == "multiply":
-                latency = config.multiply_latency
+                latency = multiply_latency
             else:
-                latency = config.base_latency
+                latency = base_latency
 
             # -- cache effects and memory latencies -----------------------------
-            innermost = frames[-1].kind if frames else None
             for access in result.mem_accesses:
+                address = access.address
                 if access.is_write:
-                    visible = (not frames) or config.speculative_stores_update_cache
-                    if visible:
-                        self.cache.access(access.address)
-                        if frames:
-                            info.speculative_accesses.append(
-                                (innermost, access.address)
-                            )
-                    self.lfb.record(access.address, access.value)
+                    if not frames:
+                        cache_access(address)
+                    elif speculative_stores_visible:
+                        cache_access(address)
+                        record_speculative((frames[-1].kind, address))
+                    lfb_record(address, access.value)
+                    addr_ready = data_issue
+                    for register in op.addr_regs:
+                        ready = reg_ready[register]
+                        if ready > addr_ready:
+                            addr_ready = ready
                     store_buffer.append(
                         _StoreEntry(
-                            address=access.address,
+                            address=address,
                             size=access.size,
                             value=access.value,
                             old_value=access.old_value,
-                            addr_ready=addr_ready_input + config.store_agu_latency,
+                            addr_ready=addr_ready + store_agu_latency,
                             pc=pc,
                         )
                     )
                 else:
-                    hit = self.cache.access(access.address)
-                    latency = max(
-                        latency,
-                        config.load_hit_latency
-                        if hit
-                        else config.load_miss_latency,
+                    access_latency = (
+                        load_hit_latency
+                        if cache_access(address)
+                        else load_miss_latency
                     )
-                    self.lfb.record(access.address, access.value)
+                    if access_latency > latency:
+                        latency = access_latency
+                    lfb_record(address, access.value)
                     if frames:
-                        info.speculative_accesses.append(
-                            (innermost, access.address)
-                        )
+                        record_speculative((frames[-1].kind, address))
 
             done = issue + latency
             for register in op.registers_written:
@@ -442,7 +455,7 @@ class SpeculativeCPU:
             branch = result.branch
             if branch is not None:
                 next_pc = self._handle_branch(
-                    instruction,
+                    op.instruction,
                     branch,
                     pc,
                     issue,
@@ -453,19 +466,21 @@ class SpeculativeCPU:
                 )
 
             # -- reorder-buffer window accounting ---------------------------------
-            squashed_by_rob = False
-            for index, frame in enumerate(frames):
-                frame.executed += 1
-                if frame.executed > config.rob_size:
-                    pc = squash(index)
-                    squashed_by_rob = True
-                    break
-            if squashed_by_rob:
-                continue
+            if frames:
+                squashed_by_rob = False
+                for index, frame in enumerate(frames):
+                    frame.executed += 1
+                    if frame.executed > rob_size:
+                        pc = squash(index)
+                        squashed_by_rob = True
+                        break
+                if squashed_by_rob:
+                    continue
 
             cycle = issue + 1
             pc = next_pc
 
+        info.instructions_executed = executed
         return info
 
     # -- helpers --------------------------------------------------------------

@@ -379,6 +379,21 @@ class TestTouchedSetPrimeProbe:
     @example(scenario=((1, 2, 64), [("prime",), ("access", -128), ("prime",)]))
     @example(scenario=((1, 2, 64), [("prime",), ("flush_line", -64), ("probe",)]))
     @example(scenario=((4, 3, 64), [("prime",), ("flush_all",), ("prime",)]))
+    # region walks at their edges: an unaligned base with size 0 still
+    # covers its own line, as does size 1, and a region may straddle 0
+    @example(scenario=((4, 3, 64), [
+        ("access", 0x10040), ("cached_lines", 0x10041, 0),
+        ("evict_region", 0x10041, 0), ("cached_lines", 0x10040, 64),
+    ]))
+    @example(scenario=((4, 3, 64), [
+        ("access", 0x10040), ("cached_lines", 0x1007F, 1),
+        ("evict_region", 0x1007F, 1), ("cached_lines", 0x10040, 64),
+    ]))
+    @example(scenario=((4, 3, 64), [
+        ("access", -64), ("access", 0), ("access", 64),
+        ("cached_lines", -100, 200), ("evict_region", -100, 200),
+        ("cached_lines", -128, 256), ("probe",),
+    ]))
     def test_matches_full_rebuild(self, scenario):
         geometry, ops = scenario
         cache = L1DCache(*geometry)

@@ -6,12 +6,21 @@ on (V1, V4, latency races, MDS, LVI-Null, speculative store eviction,
 V2, V5-ret), and the patches that disable them.
 """
 
+import hashlib
+from collections import Counter
+
 import pytest
 
+from repro.arch import get_architecture
+from repro.core.input_gen import InputGenerator
+from repro.executor.executor import Executor
+from repro.executor.modes import measurement_mode, mode_names
+from repro.gallery import GALLERY
 from repro.isa.assembler import parse_program
+from repro.emulator.errors import ExecutionLimitExceeded, SandboxViolation
 from repro.emulator.machine import Emulator
 from repro.emulator.state import InputData, SandboxLayout
-from repro.uarch.config import coffee_lake, skylake
+from repro.uarch.config import coffee_lake, preset, preset_names, skylake
 from repro.uarch.cpu import SpeculativeCPU
 
 
@@ -465,3 +474,192 @@ class TestLatencyRace:
         fast, _ = self._run(layout, 5)
         slow, _ = self._run(layout, (1 << 62) + 5)
         assert fast != slow
+
+
+class TestGalleryPin:
+    """Every gallery gadget under every CPU preset and executor mode,
+    pinned to one digest of the hardware traces and every run's
+    diagnostics. It covers the assist, store-bypass, return, indirect
+    and speculative-store paths of ``SpeculativeCPU.run`` that a clean
+    fuzzing campaign never takes."""
+
+    #: sha1 computed before the CPU loop was restructured
+    DIGEST = "f7ead4e7167e46abc59188137829df4bfd461d4b"
+    #: squash kinds over the same runs, so the pin is not vacuous
+    SQUASHES = {
+        "assist": 3456, "bypass": 432, "cond": 5580, "indirect": 288,
+        "ret": 1728,
+    }
+
+    def test_traces_and_run_infos_are_pinned(self):
+        digest = hashlib.sha1()
+        squashes = Counter()
+        for name, gadget in GALLERY.items():
+            arch = get_architecture(gadget.arch)
+            program = gadget.program()
+            # 24 inputs: with 12 the V2 gadget never mispredicts
+            inputs = InputGenerator(
+                seed=7,
+                entropy_bits=gadget.entropy_bits,
+                registers=arch.default_register_pool,
+                flag_bits=arch.registers.flag_bits,
+            ).generate(24)
+            for cpu_name in preset_names():
+                for mode_name in mode_names():
+                    executor = Executor(
+                        preset(cpu_name), measurement_mode(mode_name), arch=arch
+                    )
+                    traces = executor.collect_hardware_traces(program, inputs)
+                    digest.update(repr((
+                        name, cpu_name, mode_name,
+                        [trace.bitmap() for trace in traces],
+                    )).encode())
+                    for info in executor.stats.run_infos:
+                        digest.update(repr((
+                            info.instructions_executed,
+                            info.squashes,
+                            info.assists_triggered,
+                            info.speculative_accesses,
+                            info.injected_values,
+                        )).encode())
+                        squashes.update(info.squashes)
+        assert len(GALLERY) == 15
+        assert dict(squashes) == self.SQUASHES
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestRunExits:
+    """How ``SpeculativeCPU.run`` leaves its loop: a fault on the wrong
+    path squashes, an architectural fault propagates, the instruction
+    count includes the wrong path, and the step limit raises."""
+
+    PROGRAMS = {
+        "x86_64": (
+            """
+            CMP RAX, 0
+            JNZ .skip
+            MOV RBX, qword ptr [R14 + RCX]
+        .skip: NOP
+            """,
+            "RAX", "RCX",
+        ),
+        "aarch64": (
+            """
+            CMP X0, #0
+            B.NE .skip
+            LDR X1, [X27, X2]
+        .skip: NOP
+            """,
+            "X0", "X2",
+        ),
+    }
+
+    def _run(self, arch_name, selector, offset, **kwargs):
+        arch = get_architecture(arch_name)
+        text, selector_reg, offset_reg = self.PROGRAMS[arch_name]
+        cpu = SpeculativeCPU(skylake(), SandboxLayout(), arch)
+        linear = arch.parse_program(text).linearize()
+        return cpu.run(
+            linear,
+            InputData(registers={selector_reg: selector, offset_reg: offset}),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("arch_name", ["x86_64", "aarch64"])
+    def test_wrong_path_fault_squashes(self, arch_name):
+        # the branch is taken, the fresh predictor says not taken: the
+        # out-of-sandbox load runs only on the wrong path
+        info = self._run(arch_name, 1, 1 << 20)
+        assert info.squashes == ["cond"]
+        assert info.instructions_executed == 3
+
+    @pytest.mark.parametrize("arch_name", ["x86_64", "aarch64"])
+    def test_architectural_fault_raises(self, arch_name):
+        with pytest.raises(SandboxViolation):
+            self._run(arch_name, 0, 1 << 20)
+
+    @pytest.mark.parametrize("arch_name", ["x86_64", "aarch64"])
+    def test_count_includes_wrong_path(self, arch_name):
+        info = self._run(arch_name, 1, 0)
+        assert info.squashes == ["cond"]
+        assert info.instructions_executed == 5
+
+    @pytest.mark.parametrize("arch_name", ["x86_64", "aarch64"])
+    def test_step_limit_raises(self, arch_name):
+        with pytest.raises(ExecutionLimitExceeded):
+            self._run(arch_name, 1, 0, max_steps=3)
+        # the limit is checked before the end of the program is: a run
+        # of exactly max_steps instructions raises too
+        with pytest.raises(ExecutionLimitExceeded):
+            self._run(arch_name, 1, 0, max_steps=5)
+        assert self._run(arch_name, 1, 0, max_steps=6).instructions_executed == 5
+
+
+class TestTimingRules:
+    """Two timing rules of the dataflow model that the gallery gadgets
+    do not reach: where a store's address-ready cycle comes from, and
+    that a load's address is taken before the load overwrites it."""
+
+    def test_store_address_resolves_from_the_dataflow_cycle(self, layout):
+        program = parse_program(
+            """
+            MOV RBX, qword ptr [R14 + 128]
+            MOV dword ptr [R14 + RBX + 64], EAX
+            ADD qword ptr [R14 + 64], RCX
+            MOV RDX, qword ptr [R14 + 64]
+            """
+        )
+        cpu = SpeculativeCPU(skylake(v4_patch=False), layout)
+        issued = []
+        info = cpu.run(
+            program.linearize(),
+            InputData(registers={"RAX": 1, "RCX": 2}),
+            trace_hook=lambda pc, cycle, speculative: issued.append(
+                (pc, cycle, speculative)
+            ),
+        )
+        # pc 1, a pure store, issues on its data (EAX), not on the
+        # missing load that produces RBX: its address resolves at
+        # 30 + 3 = 33. pc 2 partially overlaps it and stalls to 33, but
+        # its own store's address resolves from its dataflow cycle,
+        # 2 + 3 = 5, so pc 3 forwards from it instead of bypassing it
+        assert issued == [(0, 0, False), (1, 1, False), (2, 33, False),
+                          (3, 34, False)]
+        assert info.squashes == []
+        assert cpu.state.read_register("RDX") == 3
+
+    @pytest.mark.parametrize("arch_name,text,registers", [
+        ("x86_64",
+         """
+         MOV qword ptr [R14 + 64], RCX
+         MOV RAX, qword ptr [R14 + RAX]
+         AND RAX, 0b111111000000
+         MOV RBX, qword ptr [R14 + RAX]
+         """,
+         {"RAX": 64, "RCX": 0x80}),
+        ("aarch64",
+         """
+         STR X1, [X27, #64]
+         LDR X0, [X27, X0]
+         AND X0, X0, #0b111111000000
+         LDR X2, [X27, X0]
+         """,
+         {"X0": 64, "X1": 0x80}),
+    ], ids=["x86_64", "aarch64"])
+    def test_bypass_uses_the_address_before_the_load(self, arch_name, text,
+                                                     registers, layout):
+        # the load overwrites its own index register with 0x80; the
+        # bypass must still see the address it loads from, 64
+        arch = get_architecture(arch_name)
+        memory = bytearray(layout.size)
+        memory[64:72] = (0x1C0).to_bytes(8, "little")
+        cpu = SpeculativeCPU(skylake(v4_patch=False), layout, arch)
+        trace, info = probe_run(
+            cpu, arch.parse_program(text).linearize(),
+            InputData(registers=registers, memory=bytes(memory)),
+        )
+        assert info.squashes == ["bypass"]
+        assert info.speculative_accesses == [
+            ("bypass", layout.base + 64), ("bypass", layout.base + 0x1C0),
+        ]
+        assert 7 in trace  # the stale 0x1C0 leaks through set 7
