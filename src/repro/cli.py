@@ -170,12 +170,12 @@ def add_engine_options(
                         "shard workers, sweep cells and later runs")
     parser.add_argument("--cache-max-bytes", type=_positive_int, default=None,
                         help="disk-footprint bound of the persistent trace "
-                        "cache; least-recently-used entries are garbage-"
+                        "cache; least-recently-used records are garbage-"
                         "collected once the bound is exceeded")
     parser.add_argument("--cache-compress", action="store_true",
-                        help="zlib-compress persistent trace-cache entries "
-                        "(reads remain transparent to uncompressed legacy "
-                        "entries; compressed sizes feed the GC accounting)")
+                        help="zlib-compress persistent trace-cache records "
+                        "(reads remain transparent to uncompressed "
+                        "records; compressed sizes feed the GC accounting)")
     parser.add_argument("--corpus-dir", default=None,
                         help="persist every confirmed violation (and every "
                         "minimized counterexample) into this directory as a "

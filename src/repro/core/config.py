@@ -158,12 +158,12 @@ class FuzzerConfig:
     #: sweep cells with the same (arch, contract) pair, and later runs
     trace_cache_dir: Optional[str] = None
     #: size bound (bytes) of the persistent tier's disk footprint; when
-    #: set, a garbage collector evicts least-recently-used entries (by
+    #: set, a garbage collector evicts least-recently-used records (by
     #: file mtime) whenever the tier outgrows the bound. None keeps the
     #: historical append-only behavior
     trace_cache_max_bytes: Optional[int] = None
-    #: zlib-compress the persistent tier's disk entries; reads remain
-    #: transparent to uncompressed legacy entries, and compressed sizes
+    #: zlib-compress the persistent tier's disk records; reads remain
+    #: transparent to uncompressed records, and compressed sizes
     #: feed the ``trace_cache_max_bytes`` GC accounting
     trace_cache_compress: bool = False
 

@@ -13,10 +13,11 @@ analysis that widens the generator configuration (§5.6).
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.assembler import render_program
 from repro.isa.instruction import TestCaseProgram
@@ -54,8 +55,10 @@ from repro.core.patterns import (
     patterns_in_log,
 )
 from repro.core.trace_cache import (
+    CacheKey,
     ContractTraceCache,
     PersistentTraceCache,
+    TraceEntry,
     make_trace_cache,
     program_fingerprint,
 )
@@ -203,7 +206,9 @@ class TestingPipeline:
         With ``config.battery_eval`` the whole battery runs through the
         group-lockstep engine (:mod:`repro.emulator.battery`) first;
         whenever that engine declines, this falls through to the
-        per-input loop, which remains the behavioural referee.
+        per-input loop, which remains the behavioural referee. Either
+        way, the entries emulated on cache misses reach the trace cache's
+        disk tier in one :meth:`~ContractTraceCache.publish` at the end.
         """
         if self.config.battery_eval and len(inputs) > 1:
             compiled = self.compiled_for(program)
@@ -218,13 +223,27 @@ class TestingPipeline:
         )
         ctraces: List[CTrace] = []
         logs: List[ExecutionLog] = []
-        for input_data in inputs:
-            ctrace, log = self._trace_and_log(
-                self.contract, program, fingerprint, input_data
-            )
-            ctraces.append(ctrace)
-            logs.append(log)
+        with self._publishing() as emulated:
+            for input_data in inputs:
+                ctrace, log = self._trace_and_log(
+                    self.contract, program, fingerprint, input_data, emulated
+                )
+                ctraces.append(ctrace)
+                logs.append(log)
         return ctraces, logs
+
+    @contextlib.contextmanager
+    def _publishing(self) -> Iterator[List[Tuple[CacheKey, TraceEntry]]]:
+        """Collect the ``(key, entry)`` pairs a collection emulates on
+        cache misses, then hand them to one ``publish`` — also when an
+        :class:`EmulationError` ends the collection early, so the entries
+        computed before it still persist."""
+        emulated: List[Tuple[CacheKey, TraceEntry]] = []
+        try:
+            yield emulated
+        finally:
+            if emulated:
+                self.trace_cache.publish(emulated)
 
     def _collect_battery(
         self,
@@ -239,13 +258,15 @@ class TestingPipeline:
         loop. Without a trace cache, every input is one emulation. With
         one, the cache is *peeked* first (no stats, no LRU movement),
         only the missing lanes are battery-emulated, and then the
-        per-input ``get``/``put`` protocol replays in input order — so
-        hit/miss counters, ``contract_emulations``, LRU order and disk
-        publications match the per-input loop exactly (duplicate inputs
-        included: the first occurrence misses and publishes, the second
-        hits). A lane whose peek hit but whose ``get`` then missed (a
-        racing GC evicted the disk entry) is re-emulated individually —
-        the same single emulation the per-input loop would perform.
+        per-input ``get``/``remember`` protocol replays in input order,
+        followed by one ``publish`` — so hit/miss counters,
+        ``contract_emulations``, LRU order and disk publications match
+        the per-input loop exactly (duplicate inputs included: the first
+        occurrence misses and is remembered, the second hits). A lane
+        whose peek hit but whose ``get`` then missed (the replay's own
+        misses evicted it from a small memory tier, and no disk record
+        holds it) is re-emulated individually — the same single
+        emulation the per-input loop would perform.
         """
         contract = self.contract
         cache = self.trace_cache
@@ -279,19 +300,21 @@ class TestingPipeline:
             computed = dict(zip(missing, results))
         ctraces: List[CTrace] = []
         logs: List[ExecutionLog] = []
-        for position, key in enumerate(keys):
-            entry = cache.get(key)
-            if entry is None:
-                entry = computed.get(position)
+        with self._publishing() as emulated:
+            for position, key in enumerate(keys):
+                entry = cache.get(key)
                 if entry is None:
-                    entry = contract.collect_trace_and_log(
-                        program, inputs[position], self.layout, self.arch,
-                        compiled,
-                    )
-                self.contract_emulations += 1
-                cache.put(key, entry)
-            ctraces.append(entry[0])
-            logs.append(entry[1])
+                    entry = computed.get(position)
+                    if entry is None:
+                        entry = contract.collect_trace_and_log(
+                            program, inputs[position], self.layout,
+                            self.arch, compiled,
+                        )
+                    self.contract_emulations += 1
+                    cache.remember(key, entry)
+                    emulated.append((key, entry))
+                ctraces.append(entry[0])
+                logs.append(entry[1])
         return ctraces, logs
 
     def _trace_and_log(
@@ -300,8 +323,10 @@ class TestingPipeline:
         program: TestCaseProgram,
         fingerprint: Optional[str],
         input_data: InputData,
+        emulated: List[Tuple[CacheKey, TraceEntry]],
     ) -> Tuple[CTrace, ExecutionLog]:
-        """One memoized contract-trace collection."""
+        """One memoized contract-trace collection; a miss is remembered
+        and appended to ``emulated`` for the caller's one publish."""
         if self.trace_cache is None:
             self.contract_emulations += 1
             return contract.collect_trace_and_log(
@@ -318,7 +343,8 @@ class TestingPipeline:
                 self.compiled_for(program),
             )
             self.contract_emulations += 1
-            self.trace_cache.put(key, entry)
+            self.trace_cache.remember(key, entry)
+            emulated.append((key, entry))
         return entry
 
     def test_program(
@@ -416,18 +442,21 @@ class TestingPipeline:
                 if self.trace_cache is not None
                 else None
             )
-            trace_a, _ = self._trace_and_log(
-                nested,
-                outcome.program,
-                fingerprint,
-                outcome.inputs[candidate.position_a],
-            )
-            trace_b, _ = self._trace_and_log(
-                nested,
-                outcome.program,
-                fingerprint,
-                outcome.inputs[candidate.position_b],
-            )
+            with self._publishing() as emulated:
+                trace_a, _ = self._trace_and_log(
+                    nested,
+                    outcome.program,
+                    fingerprint,
+                    outcome.inputs[candidate.position_a],
+                    emulated,
+                )
+                trace_b, _ = self._trace_and_log(
+                    nested,
+                    outcome.program,
+                    fingerprint,
+                    outcome.inputs[candidate.position_b],
+                    emulated,
+                )
             if trace_a != trace_b:
                 # with nesting modelled, the contract separates the inputs:
                 # the divergence was permitted leakage after all (§5.4)
@@ -540,8 +569,9 @@ class FuzzingReport:
     #: subset of the hits served from the persistent on-disk tier, i.e.
     #: traces computed by another process or an earlier run
     trace_cache_disk_hits: int = 0
-    #: disk entries evicted by this run's trace-cache GC passes (only
-    #: nonzero when ``trace_cache_max_bytes`` bounds the disk tier)
+    #: disk records (one per program and contract) evicted by this run's
+    #: trace-cache GC passes (only nonzero when ``trace_cache_max_bytes``
+    #: bounds the disk tier)
     trace_cache_gc_evictions: int = 0
     #: bytes those GC passes reclaimed
     trace_cache_gc_bytes: int = 0

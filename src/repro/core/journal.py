@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import pickle
 import tempfile
@@ -32,6 +33,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro import faults
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import FuzzingReport
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 SPEC_FILE = "spec.json"
@@ -210,8 +213,13 @@ class CampaignJournal:
                 self.record_name(cell_index, shard_index),
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
             )
-        except OSError:
+        except OSError as error:
             self.publish_errors += 1
+            logger.warning(
+                "journal %s: checkpoint of cell %d shard %d skipped (%s); "
+                "a resume re-runs that shard",
+                self.directory, cell_index, shard_index, error,
+            )
             return False
         return True
 

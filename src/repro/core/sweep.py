@@ -669,7 +669,7 @@ class SweepReport:
     results: List[SweepCellResult]
     wall_seconds: float
     cache_dir: Optional[str] = None
-    #: disk entries / bytes the trace-cache GC evicted across the sweep
+    #: disk records / bytes the trace-cache GC evicted across the sweep
     #: (cells' own passes plus the runner's finalizing pass)
     trace_cache_gc_evictions: int = 0
     trace_cache_gc_bytes: int = 0

@@ -16,14 +16,21 @@ runs). The full key/eviction/persistence contract is documented in
   §5.4 revalidation never collides with the base model, and program
   fingerprints are namespaced by architecture;
 - the memory tier evicts least-recently-used entries at ``max_entries``;
-- the disk tier is crash-safe: entries are written to a temporary file
+- callers look entries up with ``get``/``peek``, :meth:`~ContractTraceCache
+  .remember` each emulated miss, and hand a collection's emulated
+  entries to one :meth:`~ContractTraceCache.publish` at its end
+  (``put`` is ``remember`` plus a one-entry ``publish``);
+- the disk tier stores one record per ``(program fingerprint, contract
+  key)``: every input's entry of one program under one contract, so a
+  collection reads one file and publishes one file;
+- the disk tier is crash-safe: a record is written to a temporary file
   and published with an atomic ``os.replace``, so concurrent shard
-  writers can never expose a torn entry;
+  writers can never expose a torn record;
 - the disk tier is append-only by default, but a size bound
   (``max_bytes``) arms a garbage collector that evicts
-  least-recently-used entries (by file mtime; disk hits refresh it)
-  under the same atomic discipline — an evicted entry degrades to a
-  cache miss for concurrent readers, never to a torn read.
+  least-recently-used records (by file mtime; each file read refreshes
+  it) under the same atomic discipline — an evicted record degrades to
+  cache misses for concurrent readers, never to a torn read.
 
 Knobs (also exposed on :class:`repro.core.config.FuzzerConfig` and the
 CLI as ``--cache`` / ``--cache-entries`` / ``--cache-dir`` /
@@ -36,14 +43,15 @@ CLI as ``--cache`` / ``--cache-entries`` / ``--cache-dir`` /
 - ``max_bytes`` (``trace_cache_max_bytes``) bounds the persistent
   backend's disk footprint;
 - ``compress`` (``trace_cache_compress`` / ``--cache-compress``)
-  zlib-compresses stored entries — reads stay transparent to legacy
-  uncompressed entries (and vice versa), and the GC accounting sees
+  zlib-compresses stored records — reads stay transparent to
+  uncompressed records (and vice versa), and the GC accounting sees
   the compressed sizes, so a bounded tier holds more entries.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import pickle
 import tempfile
@@ -51,7 +59,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import faults
 from repro.faults import RetryPolicy
@@ -65,6 +73,14 @@ from repro.traces import CTrace, ExecutionLog
 CacheKey = Tuple[str, Optional[int], str, Tuple[str, int, int]]
 
 TraceEntry = Tuple[CTrace, ExecutionLog]
+
+#: (program fingerprint, contract key): the disk tier's unit of storage
+RecordKey = Tuple[str, Tuple[str, int, int]]
+
+#: one record's entries, keyed by input identity ``(seed, content hash)``
+Record = Dict[Tuple[Optional[int], str], TraceEntry]
+
+logger = logging.getLogger(__name__)
 
 
 def program_fingerprint(program: TestCaseProgram, arch_name: str = "") -> str:
@@ -118,15 +134,19 @@ class CacheStats:
     #: computed by another process (or an earlier run) of the same cache
     #: directory. Always 0 for the purely in-memory cache.
     disk_hits: int = 0
-    #: entries published to the on-disk tier by this process
+    #: entries published to the on-disk tier by this process (a record
+    #: rewrite counts the entries it added)
     disk_writes: int = 0
     #: publications (or GC passes) that failed with an ``OSError``
-    #: (ENOSPC, EACCES, ...) after retries — each one is a skipped
-    #: memoization, never a fuzzing-loop error
+    #: (ENOSPC, EACCES, ... after retries, or a record that could not be
+    #: re-read for the merge) — each one is a skipped memoization,
+    #: never a fuzzing-loop error
     disk_write_errors: int = 0
     #: garbage-collection passes this process ran over the disk tier
     gc_runs: int = 0
-    #: disk entries evicted by this process's GC passes
+    #: disk records evicted by this process's GC passes. The GC evicts
+    #: whole records (one per program and contract, holding every
+    #: input's entry), so this counts records, not entries
     gc_evicted_entries: int = 0
     #: bytes reclaimed by this process's GC passes
     gc_evicted_bytes: int = 0
@@ -183,22 +203,27 @@ class ContractTraceCache:
 
         The battery-batched collection pre-screens its inputs with this
         so only the cache-missing lanes are emulated, then replays the
-        per-input ``get``/``put`` protocol — which must see the exact
-        hit/miss sequence the per-input loop would have, so the peek
-        itself cannot touch the counters or the recency order.
+        per-input ``get``/``remember`` protocol — which must see the
+        exact hit/miss sequence the per-input loop would have, so the
+        peek itself cannot touch the counters or the recency order.
         """
         return key in self._entries
 
     def put(self, key: CacheKey, entry: TraceEntry) -> None:
-        self._remember(key, entry)
+        self.remember(key, entry)
+        self.publish([(key, entry)])
 
-    def _remember(self, key: CacheKey, entry: TraceEntry) -> None:
+    def remember(self, key: CacheKey, entry: TraceEntry) -> None:
         """Insert into the in-memory LRU tier only."""
         self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+
+    def publish(self, items: Iterable[Tuple[CacheKey, TraceEntry]]) -> None:
+        """Persist one collection's emulated entries; a no-op here, the
+        memory tier already holds them (:meth:`remember`)."""
 
     def clear(self) -> None:
         self._entries.clear()
@@ -210,13 +235,13 @@ class ContractTraceCache:
         return len(self._entries)
 
 
-def key_digest(key: CacheKey) -> str:
-    """Stable hex digest of a cache key, usable as a file name.
+def key_digest(key: tuple) -> str:
+    """Stable hex digest of a key tuple, usable as a file name.
 
-    ``repr`` of the key tuple is deterministic across processes (the
+    ``repr`` of the tuple is deterministic across processes (the
     components are strings, ints and tuples thereof — no salted
     ``hash()`` participates), so sibling shard processes derive the same
-    file name for the same (program, input, contract) triple.
+    file name for the same record key.
     """
     return hashlib.sha1(repr(key).encode("utf-8")).hexdigest()
 
@@ -224,40 +249,58 @@ def key_digest(key: CacheKey) -> str:
 class PersistentTraceCache(ContractTraceCache):
     """A two-tier trace cache: in-memory LRU over an on-disk store.
 
-    The disk tier lives in ``cache_dir`` (one pickle file per entry,
-    fanned out over 256 subdirectories by digest prefix) and is shared
-    by *every* process pointed at the same directory — campaign shard
-    workers, neighboring sweep cells with the same ``(arch, contract)``
-    pair, and later runs. Safety under concurrent writers comes from
-    atomic publication: an entry is pickled to a ``tempfile`` in the
-    target directory and moved into place with ``os.replace``, so a
-    reader either sees a complete entry or none. Racing writers of the
-    same key publish identical bytes (contract emulation is
-    deterministic), so last-writer-wins is harmless.
+    The disk tier lives in ``cache_dir`` and is shared by *every*
+    process pointed at the same directory — campaign shard workers,
+    neighboring sweep cells with the same ``(arch, contract)`` pair, and
+    later runs. It stores one *record* per ``(program fingerprint,
+    contract key)``: a pickled dict from input identity to
+    ``(CTrace, ExecutionLog)``, in a file named by the digest of that
+    pair (:meth:`_path`) and fanned out over 256 subdirectories by
+    digest prefix. A collection of one program's inputs therefore reads
+    one file and writes one file.
+
+    After a memory-tier miss, ``get`` and ``peek`` look the input up in
+    its record. A record file is read once and then kept in a memo of
+    the last :attr:`RECORD_MEMO` records read or written; a missing
+    record is never memoized, so a sibling's later publication stays
+    visible. :meth:`publish` groups a collection's emulated entries by
+    record, re-reads the record file (not the memo) and, if the record
+    gains entries, writes the merged record: pickled to a ``tempfile``
+    in the target directory and moved into place with ``os.replace``,
+    so a reader sees a complete record or none. Two writers that merge
+    the same record at once each publish a complete record and the last
+    one wins, dropping the other's new entries: that costs a later
+    re-emulation, never a wrong or torn trace.
 
     The disk tier is append-only by default (no cross-process eviction
-    protocol; :meth:`clear` drops the memory tier only and
-    :meth:`clear_disk` deletes the stored entries), but ``max_bytes``
+    protocol; :meth:`clear` drops the memory tier and the record memo,
+    :meth:`clear_disk` deletes the stored records), but ``max_bytes``
     arms a size-bounded garbage collector: whenever this process's
     accounting sees the tier exceed the bound, :meth:`gc` rescans the
-    directory and evicts least-recently-used entries — by file mtime,
-    which disk hits refresh — until the footprint is back under the
-    bound (with headroom, so a hot writer does not rescan on every
+    directory and evicts least-recently-used records — by file mtime,
+    which every file read refreshes — until the footprint is back under
+    the bound (with headroom, so a hot writer does not rescan on every
     publication). Eviction is a plain ``unlink`` under the existing
     atomic-publication discipline: a concurrent reader of an evicted
-    entry sees a miss and re-emulates, never a torn read, and a racing
-    re-publication of the same key is harmless (identical bytes).
-    Unreadable files (torn by a crash, or written by an incompatible
-    version) are treated as misses and deleted best-effort.
+    record sees misses and re-emulates, never a torn read. Torn files
+    are treated as misses and deleted best-effort; a record of another
+    :attr:`FORMAT` or another record key (a digest collision) reads as
+    empty.
     """
 
-    #: format version prefix of stored entries; bump on layout changes
-    FORMAT = 1
-    #: magic prefix of zlib-compressed entries. Uncompressed entries are
+    #: format version of stored records; bump on layout changes. Format
+    #: 1 stored one entry per file under a digest of the full cache key:
+    #: such files are never looked up, but :meth:`gc` and
+    #: :meth:`clear_disk` still remove them
+    FORMAT = 2
+    #: magic prefix of zlib-compressed records. Uncompressed records are
     #: raw pickles, which (at ``HIGHEST_PROTOCOL``, the only protocol we
     #: write) always start with ``b"\\x80"`` — so the two containers are
     #: unambiguous and readers stay transparent to either encoding.
     COMPRESSED_MAGIC = b"RZTC\x01"
+    #: records kept decoded after a read or write, so the lookups of one
+    #: collection (and of its nesting revalidation) read each file once
+    RECORD_MEMO = 8
     #: fraction of ``max_bytes`` a GC pass evicts down to — the headroom
     #: that keeps a hot writer from rescanning the directory per put
     GC_TARGET_FRACTION = 0.75
@@ -270,7 +313,7 @@ class PersistentTraceCache(ContractTraceCache):
     #: memory tier keep working)
     DEGRADE_AFTER = 8
     #: transient-error retry for publications: two quick tries, then
-    #: the failure is counted and the entry simply not persisted
+    #: the failure is counted and the record simply not persisted
     WRITE_RETRY = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05)
 
     def __init__(
@@ -286,13 +329,12 @@ class PersistentTraceCache(ContractTraceCache):
             raise ValueError("max_bytes must be positive (or None)")
         self.cache_dir = os.fspath(cache_dir)
         self.max_bytes = max_bytes
-        #: zlib-compress newly published entries. Reads are transparent
-        #: in both directions: a compressed cache reads legacy
-        #: uncompressed entries and vice versa, so the knob can be
-        #: toggled on a live cache directory at any time. Compressed
-        #: sizes are what the ``max_bytes`` GC accounting sees, so a
-        #: compressed cache holds proportionally more entries under the
-        #: same bound.
+        #: zlib-compress newly published records. Reads are transparent
+        #: in both directions: a compressed cache reads uncompressed
+        #: records and vice versa, so the knob can be toggled on a live
+        #: cache directory at any time. Compressed sizes are what the
+        #: ``max_bytes`` GC accounting sees, so a compressed cache holds
+        #: proportionally more entries under the same bound.
         self.compress = bool(compress)
         #: disk footprint as of the last scan plus this process's writes
         #: since; ``None`` until the first scan
@@ -301,6 +343,7 @@ class PersistentTraceCache(ContractTraceCache):
             write_retry if write_retry is not None else self.WRITE_RETRY
         )
         self._consecutive_write_failures = 0
+        self._records: "OrderedDict[RecordKey, Record]" = OrderedDict()
         os.makedirs(self.cache_dir, exist_ok=True)
 
     @property
@@ -310,7 +353,11 @@ class PersistentTraceCache(ContractTraceCache):
         return self._consecutive_write_failures >= self.DEGRADE_AFTER
 
     def _path(self, key: CacheKey) -> str:
-        digest = key_digest(key)
+        """Path of the record file that holds ``key``'s entry."""
+        return self._record_path((key[0], key[3]))
+
+    def _record_path(self, record_key: RecordKey) -> str:
+        digest = key_digest(record_key)
         return os.path.join(self.cache_dir, digest[:2], digest + ".trace")
 
     def get(self, key: CacheKey) -> Optional[TraceEntry]:
@@ -323,89 +370,156 @@ class PersistentTraceCache(ContractTraceCache):
         if entry is not None:
             self.stats.hits += 1
             self.stats.disk_hits += 1
-            self._remember(key, entry)
+            self.remember(key, entry)
             return entry
         self.stats.misses += 1
         return None
 
     def peek(self, key: CacheKey) -> bool:
-        """Key present in either tier? No stats, no LRU, no mtime touch.
+        """Key present in either tier? No stats, no LRU movement.
 
-        A racing GC can evict a peeked disk entry before the follow-up
-        ``get`` — callers must treat a peek-hit/get-miss pair as an
-        ordinary miss (the battery replay falls back to one per-input
-        emulation).
+        A disk lookup reads the key's record like ``get`` does (once,
+        then from the memo). A peeked entry can still be gone by the
+        follow-up ``get`` (evicted from the memory tier, or its record
+        from the memo and then from disk), so callers treat a
+        peek-hit/get-miss pair as an ordinary miss (the battery replay
+        falls back to one per-input emulation).
         """
-        if key in self._entries:
-            return True
-        return os.path.exists(self._path(key))
+        return key in self._entries or self._disk_get(key) is not None
 
-    def put(self, key: CacheKey, entry: TraceEntry) -> None:
-        self._remember(key, entry)
-        self._disk_put(key, entry)
+    def clear(self) -> None:
+        """Drop the memory tier and the record memo; the disk tier
+        persists."""
+        super().clear()
+        self._records.clear()
 
     def _disk_get(self, key: CacheKey) -> Optional[TraceEntry]:
-        path = self._path(key)
+        """``key``'s entry in its record: from the memo, else from one
+        read of the record file."""
+        record_key = (key[0], key[3])
+        record = self._records.get(record_key)
+        if record is None:
+            try:
+                record, _size = self._read_record(record_key)
+            except OSError:
+                # unreadable: a miss. Never discard here — a transient
+                # EIO must not delete an intact record
+                return None
+            if record is None:
+                return None  # missing records are never memoized
+            self._memoize(record_key, record)
+        return record.get((key[1], key[2]))
+
+    def _memoize(self, record_key: RecordKey, record: Record) -> None:
+        self._records[record_key] = record
+        self._records.move_to_end(record_key)
+        if len(self._records) > self.RECORD_MEMO:
+            self._records.popitem(last=False)
+
+    def _read_record(
+        self, record_key: RecordKey
+    ) -> Tuple[Optional[Record], int]:
+        """One read of a record file: its entries and its size in bytes.
+
+        ``(None, 0)`` when the file is missing, or torn and discarded;
+        a record of another format or another record key reads as
+        empty. Raises ``OSError`` when the file exists but cannot be
+        read.
+        """
+        path = self._record_path(record_key)
         try:
             faults.inject_oserror("trace_cache.read")
             with open(path, "rb") as handle:
                 blob = handle.read()
-        except OSError:
-            # missing or unreadable: a miss. Never discard here — a
-            # transient EIO must not delete an intact entry.
-            return None
+        except FileNotFoundError:
+            return None, 0
         try:
-            if blob.startswith(self.COMPRESSED_MAGIC):
-                blob = zlib.decompress(blob[len(self.COMPRESSED_MAGIC):])
-            version, stored_key, entry = pickle.loads(blob)
+            payload = blob
+            if payload.startswith(self.COMPRESSED_MAGIC):
+                payload = zlib.decompress(
+                    payload[len(self.COMPRESSED_MAGIC):]
+                )
+            version, stored_key, record = pickle.loads(payload)
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, TypeError, ValueError, zlib.error):
-            # torn or incompatible entry: a miss, not an error
+            # torn or incompatible record: a miss, not an error
             self._discard(path)
-            return None
-        if version != self.FORMAT or stored_key != key:
-            # format drift, or a digest collision (store the full key so
-            # a collision degrades to a miss instead of a wrong trace)
-            return None
+            return None, 0
         if self.max_bytes is not None:
-            # refresh the mtime so the GC's LRU order tracks use, not
-            # just publication
+            # refresh the mtime once per file read, so the GC's LRU
+            # order tracks use, not just publication
             try:
                 os.utime(path)
             except OSError:
                 pass
-        return entry
+        if version != self.FORMAT or stored_key != record_key:
+            # format drift, or a digest collision (the record key is
+            # stored so a collision degrades to misses, not wrong traces)
+            return {}, len(blob)
+        return record, len(blob)
 
-    def _disk_put(self, key: CacheKey, entry: TraceEntry) -> None:
+    def publish(self, items: Iterable[Tuple[CacheKey, TraceEntry]]) -> None:
+        """Merge a collection's emulated entries into their records on
+        disk: one re-read and at most one write per record."""
+        records: Dict[RecordKey, Record] = {}
+        for key, entry in items:
+            records.setdefault((key[0], key[3]), {})[key[1], key[2]] = entry
+        for record_key, fresh in records.items():
+            self._publish_record(record_key, fresh)
+
+    def _publish_record(self, record_key: RecordKey, fresh: Record) -> None:
         if self.disk_degraded:
             return  # tier gave up after repeated ENOSPC/EACCES failures
-        path = self._path(key)
-        if os.path.exists(path):
-            return  # another process already published this entry
         try:
-            blob = pickle.dumps((self.FORMAT, key, entry),
+            # the file, not the memo: a sibling may have added entries
+            stored, stored_size = self._read_record(record_key)
+        except OSError:
+            # the stored entries are unknown, and rewriting without them
+            # would drop them: a skipped publication
+            self.stats.disk_write_errors += 1
+            return
+        stored = stored or {}
+        new = {
+            identity: entry
+            for identity, entry in fresh.items()
+            if identity not in stored
+        }
+        if not new:
+            self._memoize(record_key, stored)
+            return  # another process already published these entries
+        record = {**stored, **new}
+        try:
+            blob = pickle.dumps((self.FORMAT, record_key, record),
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return  # unpicklable entry: a skipped memoization
         if self.compress:
             blob = self.COMPRESSED_MAGIC + zlib.compress(blob)
+        path = self._record_path(record_key)
         try:
             size = self.write_retry.call(
-                lambda: self._publish_entry(path, blob)
+                lambda: self._publish_blob(path, blob)
             )
-        except OSError:
+        except OSError as error:
             # ENOSPC/EACCES after retries: count it and keep fuzzing —
             # a failed publication is a skipped memoization, never a
             # fuzzing-loop error
             self.stats.disk_write_errors += 1
             self._consecutive_write_failures += 1
+            if self.disk_degraded:
+                logger.warning(
+                    "trace cache %s: %d consecutive publications failed "
+                    "(last: %s); the disk tier stops writing for this "
+                    "process", self.cache_dir, self.DEGRADE_AFTER, error,
+                )
             return
         self._consecutive_write_failures = 0
-        self.stats.disk_writes += 1
+        self.stats.disk_writes += len(new)
+        self._memoize(record_key, record)
         if self.max_bytes is not None:
-            self._account_write(size)
+            self._account_write(size - stored_size)
 
-    def _publish_entry(self, path: str, blob: bytes) -> int:
+    def _publish_blob(self, path: str, blob: bytes) -> int:
         """One atomic-publish attempt; raises ``OSError`` on failure."""
         faults.inject_oserror("trace_cache.write")
         # a torn-write fault publishes a truncated blob: readers must
@@ -426,8 +540,9 @@ class PersistentTraceCache(ContractTraceCache):
         return len(blob)
 
     def _account_write(self, size: int) -> None:
-        """Track this process's disk footprint; trigger the GC on
-        overflow. Sibling writers are accounted at every rescan, so the
+        """Track this process's disk footprint (``size``: the bytes a
+        publication added, a rewritten record's growth); trigger the GC
+        on overflow. Sibling writers are accounted at every rescan, so the
         bound is enforced cooperatively: each process trims as soon as
         its own view of the footprint exceeds the limit."""
         if self._disk_bytes is None:
@@ -438,7 +553,7 @@ class PersistentTraceCache(ContractTraceCache):
             self.gc()
 
     def _scan_disk(self) -> Tuple[List[Tuple[float, int, str]], int]:
-        """(mtime, size, path) of every stored entry, plus total bytes.
+        """(mtime, size, path) of every stored file, plus total bytes.
         Also sweeps ``.tmp-`` orphans past the in-flight grace age."""
         now = time.time()
         entries: List[Tuple[float, int, str]] = []
@@ -465,15 +580,15 @@ class PersistentTraceCache(ContractTraceCache):
         return entries, total
 
     def gc(self, max_bytes: Optional[int] = None) -> Tuple[int, int]:
-        """Size-bounded disk GC: evict LRU entries until under the bound.
+        """Size-bounded disk GC: evict LRU records until under the bound.
 
         Scans the tier, then — when the footprint exceeds ``max_bytes``
-        (argument, or the instance bound) — unlinks entries oldest-mtime
-        first until the footprint is at or below
+        (argument, or the instance bound) — unlinks whole record files
+        oldest-mtime first until the footprint is at or below
         ``max_bytes * GC_TARGET_FRACTION``. Safe under concurrent
-        readers and writers: an evicted entry degrades to a miss, a
+        readers and writers: an evicted record degrades to misses, a
         concurrently-evicted file is skipped. Returns
-        ``(entries evicted, bytes reclaimed)``.
+        ``(records evicted, bytes reclaimed)``.
         """
         limit = self.max_bytes if max_bytes is None else max_bytes
         try:
@@ -505,7 +620,7 @@ class PersistentTraceCache(ContractTraceCache):
         return evicted, freed
 
     def disk_usage_bytes(self) -> int:
-        """Current disk footprint of the stored entries (full scan)."""
+        """Current disk footprint of the stored records (full scan)."""
         _entries, total = self._scan_disk()
         return total
 
@@ -523,16 +638,18 @@ class PersistentTraceCache(ContractTraceCache):
             pass
 
     def clear_disk(self) -> None:
-        """Delete every stored entry, including temp files orphaned by
-        killed writers (leaves the directory tree in place)."""
+        """Delete every stored record (format 1 files too) and the record
+        memo, including temp files orphaned by killed writers (leaves
+        the directory tree in place)."""
         for root, _dirs, files in os.walk(self.cache_dir):
             for name in files:
                 if name.endswith(".trace") or name.startswith(".tmp-"):
                     self._discard(os.path.join(root, name))
         self._disk_bytes = 0 if self.max_bytes is not None else None
+        self._records.clear()
 
     def disk_entries(self) -> int:
-        """Number of entries currently stored on disk."""
+        """Number of record files currently stored on disk."""
         return sum(
             1
             for _root, _dirs, files in os.walk(self.cache_dir)
@@ -553,8 +670,8 @@ def make_trace_cache(
     ``cache_dir`` implies caching even when the boolean knob is off —
     pointing a run at a directory is an explicit opt-in. ``max_bytes``
     arms the persistent tier's garbage collector; ``compress``
-    zlib-compresses its entries (reads stay transparent to legacy
-    uncompressed entries).
+    zlib-compresses its records (reads stay transparent to uncompressed
+    records).
     """
     if cache_dir:
         return PersistentTraceCache(cache_dir, max_entries, max_bytes,
@@ -569,6 +686,7 @@ __all__ = [
     "CacheStats",
     "ContractTraceCache",
     "PersistentTraceCache",
+    "TraceEntry",
     "input_identity",
     "key_digest",
     "make_trace_cache",

@@ -12,8 +12,8 @@ failures at *named sites* instrumented at the real seams:
 site                 failure injected there
 ==================== ====================================================
 trace_cache.read     ``OSError`` on a disk-tier read (degrades to miss)
-trace_cache.write    ``OSError`` on entry publication (counted no-persist)
-trace_cache.torn     the published entry blob is truncated (torn entry)
+trace_cache.write    ``OSError`` on record publication (counted no-persist)
+trace_cache.torn     the published record blob is truncated (torn record)
 trace_cache.gc       ``OSError`` during the size-bounded GC pass
 journal.publish      ``OSError`` publishing a shard checkpoint record
 sweep.unit           a pool worker dies (``os._exit``) mid-unit (campaign

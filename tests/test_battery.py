@@ -21,6 +21,7 @@ tests pin the equality from four directions:
   trace.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -325,15 +326,31 @@ def test_pipeline_counter_parity_without_cache(arch_name):
     assert on.contract_emulations == off.contract_emulations == len(inputs)
 
 
-@pytest.mark.parametrize("arch_name", ARCHS)
-def test_pipeline_cache_parity_with_duplicates(arch_name):
+@pytest.mark.parametrize(
+    "arch_name, persistent",
+    [pytest.param(name, False, id=name) for name in ARCHS]
+    + [pytest.param(name, True, id=f"{name}-disk") for name in ARCHS],
+)
+def test_pipeline_cache_parity_with_duplicates(arch_name, persistent, tmp_path):
     """Hit/miss stats, emulation counters and cached results must be
     identical with ``battery_eval`` flipped — including a battery that
-    contains the same input twice (first occurrence misses and
-    publishes, second hits) and a warm second collection."""
+    contains the same input twice (first occurrence misses and is
+    remembered, second hits) and a warm second collection. On the disk
+    tier each side publishes its collection as one record, which a
+    fresh pipeline then replays without a single emulation."""
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
-    on, off = _pipeline_pair(arch_name, contract_trace_cache=True)
+    base = FuzzerConfig(arch=arch_name, contract_trace_cache=True)
+    on_config = replace(
+        base, trace_cache_dir=str(tmp_path / "on") if persistent else None
+    )
+    off_config = replace(
+        base,
+        battery_eval=False,
+        trace_cache_dir=str(tmp_path / "off") if persistent else None,
+    )
+    on, off = TestingPipeline(on_config), TestingPipeline(off_config)
+    assert on.config.battery_eval and not off.config.battery_eval
     program = _generator(arch, layout, seed=61).generate()
     distinct = _inputs(arch, layout, seed=62, count=6)
     inputs = distinct + [distinct[0], distinct[3]]
@@ -355,6 +372,27 @@ def test_pipeline_cache_parity_with_duplicates(arch_name):
     assert warm_on[0] == warm_off[0] == result_on[0]
     assert on.contract_emulations == off.contract_emulations == len(distinct)
     assert on.trace_cache.stats.hits == off.trace_cache.stats.hits
+
+    if not persistent:
+        return
+    for side in (on, off):
+        records = [
+            name
+            for _root, _dirs, files in os.walk(side.trace_cache.cache_dir)
+            for name in files
+            if name.endswith(".trace")
+        ]
+        assert len(records) == 1
+        assert side.trace_cache.stats.disk_writes == len(distinct)
+    replay = TestingPipeline(on_config)
+    replayed = replay.collect_contract_traces(program, inputs)
+    assert replay.contract_emulations == 0
+    assert replay.trace_cache.stats.disk_hits == len(distinct)
+    assert replay.trace_cache.stats.hits == len(inputs)
+    assert replayed[0] == result_on[0]
+    assert [log.entries for log in replayed[1]] == [
+        log.entries for log in result_on[1]
+    ]
 
 
 def test_peek_does_not_mutate_stats_or_recency():

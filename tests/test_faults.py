@@ -226,6 +226,34 @@ class TestTraceCacheFaults:
             assert reader.get(KEY) is None
         assert reader.get(KEY) == ("trace", "log")  # entry was intact
 
+    def test_degrading_logs_one_warning(self, tmp_path, caplog):
+        cache = PersistentTraceCache(str(tmp_path))
+        with caplog.at_level("WARNING", logger="repro.core.trace_cache"):
+            with faults.injected(plan("trace_cache.write=1")):
+                for index in range(PersistentTraceCache.DEGRADE_AFTER + 3):
+                    cache.put((f"fp{index}", None, "d", ("CT-SEQ", 250, 1)),
+                              ("trace", "log"))
+        warnings = [
+            record for record in caplog.records
+            if record.name == "repro.core.trace_cache"
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert "stops writing" in warnings[0].getMessage()
+
+    def test_a_failed_re_read_skips_the_merge(self, tmp_path):
+        PersistentTraceCache(str(tmp_path)).put(KEY, ("trace", "log"))
+        same_record = ("fp", 3, "digest3", ("CT-SEQ", 250, 1))
+        cache = PersistentTraceCache(str(tmp_path))
+        with faults.injected(plan("trace_cache.read=1")):
+            cache.put(same_record, ("trace3", "log3"))
+        assert cache.stats.disk_write_errors == 1
+        assert cache.stats.disk_writes == 0
+        # the stored record was not rewritten without its entry
+        reader = PersistentTraceCache(str(tmp_path))
+        assert reader.get(KEY) == ("trace", "log")
+        assert reader.get(same_record) is None
+
     def test_gc_faults_skip_the_pass(self, tmp_path):
         cache = PersistentTraceCache(str(tmp_path), max_bytes=1)
         cache.put(KEY, ("trace", "log"))
@@ -266,6 +294,22 @@ class TestJournalFaults:
             assert journal.record(0, 1, report) is True
         assert journal.publish_errors == 1
         assert set(journal.completed()) == {(0, 1)}
+
+    def test_each_skipped_checkpoint_logs_a_warning(self, tmp_path, caplog):
+        journal = CampaignJournal(str(tmp_path))
+        journal.open({"kind": "test"})
+        report = FuzzingReport(coverage=PatternCoverage())
+        with caplog.at_level("WARNING", logger="repro.core.journal"):
+            with faults.injected(plan("journal.publish=1:1")):
+                journal.record(0, 0, report)
+                journal.record(0, 1, report)
+        warnings = [
+            record for record in caplog.records
+            if record.name == "repro.core.journal"
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert "cell 0 shard 0" in warnings[0].getMessage()
 
 
 # -- the acceptance gate: chaos run == clean run -----------------------

@@ -4,14 +4,19 @@ changing any collected trace)."""
 
 import multiprocessing
 import os
+import pickle
+from pathlib import Path
 
 import pytest
 
+from repro import faults
+from repro.emulator.errors import EmulationError
 from repro.isa.assembler import parse_program
 from repro.emulator.state import InputData
 from repro.contracts import get_contract
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import TestingPipeline
+from repro.core import trace_cache
 from repro.core.input_gen import InputGenerator
 from repro.core.trace_cache import (
     ContractTraceCache,
@@ -176,8 +181,7 @@ class TestPersistentCache:
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         cache = PersistentTraceCache(str(tmp_path))
         cache.put(KEY, ("trace", "log"))
-        digest = key_digest(KEY)
-        path = tmp_path / digest[:2] / (digest + ".trace")
+        path = Path(cache._path(KEY))
         path.write_bytes(b"torn write")
         cache.clear()
         assert cache.get(KEY) is None
@@ -230,6 +234,196 @@ class TestPersistentCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 2
         assert cache.disk_entries() == 4  # disk keeps everything
+
+
+#: KEY's input (seed 3, its own content) under KEY's program and contract
+SAME_RECORD_KEY = ("fp", 3, "digest3", ("CT-SEQ", 250, 1))
+
+
+def _trace_files(directory):
+    return [
+        os.path.join(root, name)
+        for root, _dirs, files in os.walk(directory)
+        for name in files
+        if name.endswith(".trace")
+    ]
+
+
+def _counting_replace(monkeypatch):
+    """Count ``os.replace`` calls: one per published file."""
+    calls = []
+    real_replace = os.replace
+
+    def replace(source, target):
+        calls.append(target)
+        return real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+class TestRecordLayout:
+    """One record file per (program fingerprint, contract key)."""
+
+    def test_inputs_of_one_program_and_contract_share_a_file(self, tmp_path):
+        writer = PersistentTraceCache(str(tmp_path))
+        writer.put(KEY, ("trace", "log"))
+        writer.put(SAME_RECORD_KEY, ("trace3", "log3"))
+        assert writer._path(KEY) == writer._path(SAME_RECORD_KEY)
+        assert len(_trace_files(tmp_path)) == 1
+        assert writer.stats.disk_writes == 2
+        reader = PersistentTraceCache(str(tmp_path))
+        assert reader.get(KEY) == ("trace", "log")
+        assert reader.get(SAME_RECORD_KEY) == ("trace3", "log3")
+        assert reader.stats.disk_hits == 2
+
+    def test_republishing_present_entries_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        items = [(KEY, ("trace", "log")), (SAME_RECORD_KEY, ("t3", "l3"))]
+        PersistentTraceCache(str(tmp_path)).publish(items)
+        replaced = _counting_replace(monkeypatch)
+        again = PersistentTraceCache(str(tmp_path))
+        again.publish(items)
+        assert replaced == []
+        assert again.stats.disk_writes == 0
+
+    def test_a_record_file_is_read_once(self, tmp_path, monkeypatch):
+        PersistentTraceCache(str(tmp_path)).publish(
+            [(KEY, ("trace", "log")), (SAME_RECORD_KEY, ("t3", "l3"))]
+        )
+        reader = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
+        real_open, real_utime = open, os.utime
+        opened, touched = [], []
+        monkeypatch.setattr(
+            trace_cache, "open",
+            lambda path, *args: opened.append(path) or real_open(path, *args),
+            raising=False,
+        )
+        monkeypatch.setattr(
+            os, "utime",
+            lambda path, *args: touched.append(path) or real_utime(path, *args),
+        )
+        assert reader.peek(KEY) and reader.peek(SAME_RECORD_KEY)
+        assert reader.get(KEY) == ("trace", "log")
+        assert reader.get(SAME_RECORD_KEY) == ("t3", "l3")
+        assert opened == touched == [reader._path(KEY)]
+        reader.clear()  # drops the record memo with the memory tier
+        assert reader.get(KEY) == ("trace", "log")
+        assert len(opened) == 2
+
+    def test_a_missing_record_is_not_memoized(self, tmp_path):
+        reader = PersistentTraceCache(str(tmp_path))
+        assert not reader.peek(KEY)
+        PersistentTraceCache(str(tmp_path)).put(KEY, ("trace", "log"))
+        assert reader.get(KEY) == ("trace", "log")
+        assert reader.stats.disk_hits == 1
+
+    def test_publish_merges_with_the_file_not_the_memo(self, tmp_path):
+        first = PersistentTraceCache(str(tmp_path))
+        second = PersistentTraceCache(str(tmp_path))
+        first.put(KEY, ("trace", "log"))
+        assert second.get(KEY) == ("trace", "log")  # memoizes the record
+        first.put(SAME_RECORD_KEY, ("t3", "l3"))
+        other_input = ("fp", 4, "digest4", ("CT-SEQ", 250, 1))
+        second.put(other_input, ("t4", "l4"))
+        reader = PersistentTraceCache(str(tmp_path))
+        assert reader.get(KEY) == ("trace", "log")
+        assert reader.get(SAME_RECORD_KEY) == ("t3", "l3")
+        assert reader.get(other_input) == ("t4", "l4")
+
+    def test_a_rewrite_accounts_the_size_delta(self, tmp_path):
+        cache = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
+        cache.put(KEY, ("trace", "log"))
+        cache.put(SAME_RECORD_KEY, ("t3", "l3"))
+        assert cache.known_disk_bytes() == cache.disk_usage_bytes()
+
+    @pytest.mark.parametrize("battery_eval", [True, False])
+    def test_one_publish_per_collection(
+        self, tmp_path, monkeypatch, battery_eval
+    ):
+        pipeline = TestingPipeline(
+            cached_config(trace_cache_dir=str(tmp_path),
+                          battery_eval=battery_eval)
+        )
+        program = parse_program(V1)
+        inputs = InputGenerator(seed=3, layout=pipeline.layout).generate(8)
+        replaced = _counting_replace(monkeypatch)
+        pipeline.collect_contract_traces(program, inputs)
+        assert len(replaced) == 1
+        assert pipeline.trace_cache.stats.disk_writes == 8
+        assert len(_trace_files(tmp_path)) == 1
+
+    def test_emulation_error_still_publishes_earlier_entries(
+        self, tmp_path, monkeypatch
+    ):
+        pipeline = TestingPipeline(
+            cached_config(trace_cache_dir=str(tmp_path), battery_eval=False)
+        )
+        program = parse_program(V1)
+        inputs = InputGenerator(seed=3, layout=pipeline.layout).generate(4)
+        contract_class = type(pipeline.contract)
+        real_collect = contract_class.collect_trace_and_log
+        calls = []
+
+        def collect_until_the_third(contract, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise EmulationError("injected")
+            return real_collect(contract, *args, **kwargs)
+
+        # contracts are frozen dataclasses: patch the class
+        monkeypatch.setattr(
+            contract_class, "collect_trace_and_log", collect_until_the_third
+        )
+        with pytest.raises(EmulationError):
+            pipeline.collect_contract_traces(program, inputs)
+        assert pipeline.trace_cache.stats.disk_writes == 2
+        reader = PersistentTraceCache(str(tmp_path))
+        fingerprint = program_fingerprint(program, pipeline.arch.name)
+        keys = [
+            reader.key(fingerprint, input_data, pipeline.contract)
+            for input_data in inputs
+        ]
+        assert [reader.get(key) is not None for key in keys] == [
+            True, True, False, False
+        ]
+
+    def test_format_1_files_are_never_read_and_clear_disk_removes_them(
+        self, tmp_path
+    ):
+        # the one-entry-per-file layout of format 1, named by the digest
+        # of the full cache key
+        digest = key_digest(KEY)
+        legacy = tmp_path / digest[:2] / (digest + ".trace")
+        legacy.parent.mkdir()
+        legacy.write_bytes(pickle.dumps((1, KEY, ("trace", "log"))))
+        cache = PersistentTraceCache(str(tmp_path))
+        assert cache.get(KEY) is None
+        assert not cache.peek(KEY)
+        assert legacy.exists()  # never read, so never discarded either
+        assert cache.disk_entries() == 1
+        cache.clear_disk()
+        assert not legacy.exists()
+
+    def test_torn_records_are_re_emulated_and_republished(self, tmp_path):
+        program = parse_program(V1)
+        config = cached_config(trace_cache_dir=str(tmp_path))
+        with faults.injected(faults.FaultPlan.parse("trace_cache.torn=1")):
+            first = TestingPipeline(config)
+            inputs = InputGenerator(seed=3, layout=first.layout).generate(8)
+            reference = first.collect_contract_traces(program, inputs)
+            fresh = TestingPipeline(config)
+            replayed = fresh.collect_contract_traces(program, inputs)
+        stats = fresh.trace_cache.stats
+        assert (stats.misses, stats.hits, stats.disk_hits) == (8, 0, 0)
+        assert fresh.contract_emulations == 8
+        assert stats.disk_writes == 8
+        assert len(_trace_files(tmp_path)) == 1
+        assert replayed[0] == reference[0]
+        assert [log.entries for log in replayed[1]] == [
+            log.entries for log in reference[1]
+        ]
 
 
 def _numbered_key(index):
