@@ -14,8 +14,8 @@ the two guarantees that refactor makes:
    ``Contract.collect_trace_and_log`` over the identical (program,
    input) grid — interpretive vs. compiled;
 2. **byte-identical results**: contract traces *and* execution logs,
-   hardware traces from the executor, and end-to-end fuzzing reports
-   (the ``FuzzerConfig.compile_programs`` knob flipped) must not change
+   and hardware traces from the executor (fed interpretive IR built
+   with ``compile_program(..., interpretive=True)``), must not change
    by a single byte on either ISA.
 
 On top of the per-input compiled path, ``repro.emulator.battery`` runs
@@ -29,9 +29,11 @@ for it:
    ``Contract.collect_traces_battery`` on pass-optimized IR over the
    identical grid;
 4. **byte-identical results** again: the battery's (trace, log) pairs
-   entry-for-entry against the per-input compiled results, and
-   end-to-end fuzzing reports with ``FuzzerConfig.battery_eval``
-   flipped (the x86-64 budget includes the confirmed V1 violation).
+   entry-for-entry against the per-input compiled results.
+
+End-to-end fuzzing reports on each reference path (interpretive IR,
+per-input contract loop, no IR passes) are compared with production
+by the tier-1 suite (``tests/test_reference_paths.py``), not here.
 
 The JSON section (``emulation_throughput``) is schema- and value-gated
 by ``tools/check_bench_json.py``: the ratios must hold (>= 2.0
@@ -41,16 +43,13 @@ an artifact.
 """
 
 import time
-from dataclasses import replace
 
 from repro.analysis.passes import default_pipeline
 from repro.arch import get_architecture
 from repro.contracts import get_contract
-from repro.core.config import FuzzerConfig, GeneratorConfig
-from repro.core.fuzzer import Fuzzer
+from repro.core.config import GeneratorConfig
 from repro.core.generator import TestCaseGenerator
 from repro.core.input_gen import InputGenerator
-from repro.core.trace_cache import program_fingerprint
 from repro.emulator.compiled import compile_program
 from repro.emulator.state import SandboxLayout
 from repro.executor.executor import Executor, ExecutorConfig
@@ -68,13 +67,6 @@ BATTERY_CONFIG = GeneratorConfig(
 PROGRAMS = 6
 INPUTS = 30
 TIMING_ROUNDS = 4  # best-of-N wall clock per engine
-
-#: budgets that end-to-end exercise candidate confirmation (the x86-64
-#: one surfaces a confirmed V1-style violation, as in the CI smoke test)
-REPORT_BUDGETS = {
-    "x86_64": dict(seed=7, num_test_cases=160, inputs_per_test_case=25),
-    "aarch64": dict(seed=3, num_test_cases=60, inputs_per_test_case=30),
-}
 
 
 def _battery(arch, layout):
@@ -126,60 +118,32 @@ def _collect_battery_all(contract, programs, inputs, layout, optimized_map):
     return time.perf_counter() - start, results
 
 
-def _hardware_traces(arch_name, programs, inputs, compile_programs):
+def _hardware_traces(arch, programs, inputs, interpretive):
     executor = Executor(
         preset("skylake"),
         measurement_mode("P+P"),
         SandboxLayout(),
-        ExecutorConfig(compile_programs=compile_programs),
-        arch=get_architecture(arch_name),
+        ExecutorConfig(),
+        arch=arch,
     )
     return [
-        executor.collect_hardware_traces(program, inputs)
+        executor.collect_hardware_traces(
+            compile_program(program, arch, interpretive=interpretive),
+            inputs,
+        )
         for program in programs
     ]
-
-
-def _report_digest(report, arch_name):
-    """The byte-comparable projection of a fuzzing report (wall-clock
-    fields excluded, everything the MRT loop decides included)."""
-    violation = None
-    if report.found:
-        violation = (
-            program_fingerprint(report.violation.program, arch_name),
-            report.violation.classification,
-            report.violation.position_a,
-            report.violation.position_b,
-            str(report.violation.htrace_a),
-            str(report.violation.htrace_b),
-            str(report.violation.ctrace),
-            tuple(sorted(report.violation.speculation_kinds)),
-        )
-    return (
-        report.test_cases,
-        report.inputs_tested,
-        report.rounds,
-        report.reconfigurations,
-        report.mean_effectiveness,
-        sorted(report.coverage.covered),
-        report.discarded_by_priming,
-        report.discarded_by_nesting,
-        report.unconfirmed_candidates,
-        violation,
-    )
 
 
 def test_compiled_emulation_throughput():
     """>= 2x contract-trace throughput (compiled vs. interpretive) and
     >= 1.5x on top of that (battery vs. per-input compiled), with
-    byte-identical traces and reports, on both ISA backends."""
+    byte-identical traces, on both ISA backends."""
     contract = get_contract("CT-COND")
     per_arch = {}
     rows = []
     traces_equal = True
-    reports_equal = True
     battery_traces_equal = True
-    battery_reports_equal = True
     instruction_counts = []
 
     for arch_name in ("x86_64", "aarch64"):
@@ -192,8 +156,8 @@ def test_compiled_emulation_throughput():
             for program in programs
         }
         # the battery runs on pass-optimized IR, as the fuzzer pipeline
-        # does in production (dead-flag elimination + masked-access
-        # fusion — both byte-identical by the pass-pipeline contract)
+        # does in production (dead-flag elimination, byte-identical by
+        # the pass-pipeline contract)
         optimized_map = {
             key: default_pipeline().run(compiled).program
             for key, compiled in compiled_map.items()
@@ -229,34 +193,11 @@ def test_compiled_emulation_throughput():
             for a, b in zip(compiled_results, battery_results)
         )
         battery_traces_equal = battery_traces_equal and arch_battery_equal
-        # hardware traces: byte-identical across the engine knob
+        # hardware traces: byte-identical on compiled and interpretive IR
         hardware_equal = _hardware_traces(
-            arch_name, programs, inputs, compile_programs=True
-        ) == _hardware_traces(
-            arch_name, programs, inputs, compile_programs=False
-        )
+            arch, programs, inputs, interpretive=False
+        ) == _hardware_traces(arch, programs, inputs, interpretive=True)
         traces_equal = traces_equal and contract_equal and hardware_equal
-
-        # end-to-end reports: neither config knob may move a byte.
-        # report_on runs the production default (compiled + battery);
-        # compile_programs=False is the interpretive referee and
-        # battery_eval=False the per-input compiled one.
-        budget = REPORT_BUDGETS[arch_name]
-        base = FuzzerConfig(arch=arch_name, **budget)
-        report_on = Fuzzer(replace(base, compile_programs=True)).run()
-        report_off = Fuzzer(replace(base, compile_programs=False)).run()
-        digest_on = _report_digest(report_on, arch_name)
-        arch_reports_equal = digest_on == _report_digest(
-            report_off, arch_name
-        )
-        reports_equal = reports_equal and arch_reports_equal
-        report_no_battery = Fuzzer(replace(base, battery_eval=False)).run()
-        arch_battery_reports_equal = digest_on == _report_digest(
-            report_no_battery, arch_name
-        )
-        battery_reports_equal = (
-            battery_reports_equal and arch_battery_reports_equal
-        )
 
         collections = len(programs) * len(inputs)
         ratio = interpretive_best / compiled_best
@@ -273,9 +214,6 @@ def test_compiled_emulation_throughput():
             "contract_traces_equal": contract_equal,
             "hardware_traces_equal": hardware_equal,
             "battery_traces_equal": arch_battery_equal,
-            "reports_equal": arch_reports_equal,
-            "battery_reports_equal": arch_battery_reports_equal,
-            "violation_found": report_on.found,
         }
         rows.append([
             arch_name,
@@ -285,8 +223,6 @@ def test_compiled_emulation_throughput():
             f"{ratio:.2f}x",
             f"{battery_ratio:.2f}x",
             contract_equal and hardware_equal and arch_battery_equal,
-            arch_reports_equal and arch_battery_reports_equal,
-            report_on.found,
         ])
 
     print_table(
@@ -294,7 +230,7 @@ def test_compiled_emulation_throughput():
         f"~{sum(instruction_counts) // len(instruction_counts)} instructions"
         ", CT-COND)",
         ["arch", "interp ms", "compiled ms", "battery ms", "speedup",
-         "battery x", "traces ==", "report ==", "violation"],
+         "battery x", "traces =="],
         rows,
     )
 
@@ -314,21 +250,13 @@ def test_compiled_emulation_throughput():
             "throughput_ratio": min_ratio,
             "battery_ratio": min_battery_ratio,
             "traces_equal": traces_equal,
-            "reports_equal": reports_equal,
             "battery_traces_equal": battery_traces_equal,
-            "battery_reports_equal": battery_reports_equal,
         },
     )
 
     assert traces_equal, "compiled engine diverged from the interpreter"
     assert battery_traces_equal, (
         "battery engine diverged from the per-input compiled path"
-    )
-    assert reports_equal, (
-        "FuzzerConfig.compile_programs changed a fuzzing report"
-    )
-    assert battery_reports_equal, (
-        "FuzzerConfig.battery_eval changed a fuzzing report"
     )
     assert min_ratio >= 2.0, (
         f"compile-once IR must be >= 2x on contract traces, got "

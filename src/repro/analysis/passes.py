@@ -1,13 +1,10 @@
 """A small pass pipeline over :class:`CompiledProgram`.
 
-The optimization passes (:mod:`repro.analysis.deadflags`,
-:mod:`repro.analysis.fusion`) each transform a compiled program into an
-equivalent one — same traces, same logs, same faults — by swapping
-``run`` closures for cheaper specializations. This module sequences
-them: a :class:`PassManager` runs a fixed pass list in order, threading
-a shared **context** dict so later passes can consume facts proved by
-earlier ones (the fusion pass, for instance, may only skip an x86
-``AND``'s flag writes at pcs the dead-flag pass already proved dead).
+An optimization pass (:mod:`repro.analysis.deadflags`) transforms a
+compiled program into an equivalent one — same traces, same logs, same
+faults — by swapping ``run`` closures for cheaper specializations. A
+:class:`PassManager` runs a fixed pass list in order, each pass over
+the previous one's output.
 
 The pipeline contract every pass must honor:
 
@@ -28,15 +25,10 @@ The pipeline contract every pass must honor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.analysis.deadflags import eliminate_dead_flags
-from repro.analysis.fusion import fuse_masked_access
 from repro.emulator.compiled import CompiledProgram
-
-#: context key: op indices whose flag writes were proven dead (and whose
-#: handlers were swapped for no-flag variants) by :class:`DeadFlagPass`
-DEAD_FLAG_PCS = "dead_flag_pcs"
 
 
 @dataclass(frozen=True)
@@ -44,6 +36,8 @@ class PassResult:
     """One pass's effect on one program."""
 
     name: str
+    #: the pass's output program
+    program: CompiledProgram
     #: op indices whose handler the pass replaced
     applied: Tuple[int, ...]
     #: op indices the pass matched but had to leave alone
@@ -57,41 +51,17 @@ class PipelineReport:
     program: CompiledProgram
     results: Tuple[PassResult, ...]
 
-    def applied(self, name: str) -> Tuple[int, ...]:
-        """Op indices a named pass rewrote (empty if it did not run)."""
-        for result in self.results:
-            if result.name == name:
-                return result.applied
-        return ()
-
 
 class DeadFlagPass:
-    """Pipeline adapter for :func:`eliminate_dead_flags`.
-
-    Publishes the optimized pc set under :data:`DEAD_FLAG_PCS` so the
-    fusion pass can rely on those flag writes being provably dead.
-    """
+    """Pipeline adapter for :func:`eliminate_dead_flags`."""
 
     name = "dead-flags"
 
-    def run(self, compiled: CompiledProgram, context: Dict) -> PassResult:
+    def run(self, compiled: CompiledProgram) -> PassResult:
         report = eliminate_dead_flags(compiled)
-        context[DEAD_FLAG_PCS] = frozenset(report.optimized)
-        context["program"] = report.program
-        return PassResult(self.name, report.optimized, report.skipped)
-
-
-class MaskedAccessFusionPass:
-    """Pipeline adapter for :func:`fuse_masked_access` (§5.1 idiom)."""
-
-    name = "masked-access-fusion"
-
-    def run(self, compiled: CompiledProgram, context: Dict) -> PassResult:
-        report = fuse_masked_access(
-            compiled, dead_flag_pcs=context.get(DEAD_FLAG_PCS, frozenset())
+        return PassResult(
+            self.name, report.program, report.optimized, report.skipped
         )
-        context["program"] = report.program
-        return PassResult(self.name, report.fused, report.skipped)
 
 
 class PassManager:
@@ -101,34 +71,21 @@ class PassManager:
         self.passes = tuple(passes)
 
     def run(self, compiled: CompiledProgram) -> PipelineReport:
-        context: Dict = {"program": compiled}
         results: List[PassResult] = []
         for pipeline_pass in self.passes:
-            program = context["program"]
-            results.append(pipeline_pass.run(program, context))
-        return PipelineReport(context["program"], tuple(results))
+            result = pipeline_pass.run(compiled)
+            results.append(result)
+            compiled = result.program
+        return PipelineReport(compiled, tuple(results))
 
 
-def default_pipeline(optimize_dead_flags: bool = True,
-                     optimize_masked_access: bool = True) -> PassManager:
-    """The standard pipeline, with each pass individually switchable.
-
-    Order matters: dead-flag elimination runs first because the fusion
-    pass consumes its proof set (an x86 ``AND``'s flag writes must be
-    dead before its handler may stop computing them).
-    """
-    passes = []
-    if optimize_dead_flags:
-        passes.append(DeadFlagPass())
-    if optimize_masked_access:
-        passes.append(MaskedAccessFusionPass())
-    return PassManager(passes)
+def default_pipeline() -> PassManager:
+    """The production pipeline: dead-flag elimination."""
+    return PassManager([DeadFlagPass()])
 
 
 __all__ = [
-    "DEAD_FLAG_PCS",
     "DeadFlagPass",
-    "MaskedAccessFusionPass",
     "PassManager",
     "PassResult",
     "PipelineReport",

@@ -4,9 +4,8 @@
 service (:mod:`repro.service`) and external embedders share:
 
 - :class:`EngineOptions` — a flat, JSON-friendly options bag covering
-  the target (arch/contract/cpu), the budget knobs, the engine knobs
-  whose settings are byte-identity-preserving (battery eval, IR
-  passes, interpretive fallback), and the cache/corpus plumbing.
+  the target (arch/contract/cpu), the budget knobs and the
+  cache/corpus plumbing.
   ``to_fuzzer_config()`` is the single place an options bag becomes a
   :class:`~repro.core.config.FuzzerConfig`; ``from_args`` adapts a
   parsed argparse namespace (see :func:`repro.cli.add_engine_options`)
@@ -49,6 +48,14 @@ __all__ = [
 ]
 
 
+#: fields older releases wrote (``serve --state-dir`` snapshots keep
+#: them): engine knobs that never changed a result, so ``from_dict``
+#: drops them
+_RETIRED_FIELDS = frozenset(
+    {"battery_eval", "masked_fusion", "dead_flags", "compile_programs"}
+)
+
+
 @dataclass
 class EngineOptions:
     """Everything a fuzzing engine run is configured by, flat and
@@ -71,11 +78,6 @@ class EngineOptions:
     prescreen: bool = False
     prescreen_safety_rate: int = 20
     seed: int = 0
-    # engine knobs — reports are byte-identical for every setting
-    battery_eval: bool = True
-    masked_fusion: bool = True
-    dead_flags: bool = True
-    compile_programs: bool = True
     # contract-trace cache / counterexample corpus plumbing
     cache: bool = False
     cache_entries: int = 65536
@@ -111,10 +113,6 @@ class EngineOptions:
             prescreen_safety_rate=self.prescreen_safety_rate,
             seed=self.seed,
             generator=GeneratorConfig(sandbox_pages=self.sandbox_pages),
-            battery_eval=self.battery_eval,
-            optimize_masked_access=self.masked_fusion,
-            optimize_dead_flags=self.dead_flags,
-            compile_programs=self.compile_programs,
             contract_trace_cache=self.cache,
             trace_cache_entries=self.cache_entries,
             trace_cache_dir=self.cache_dir,
@@ -145,10 +143,6 @@ class EngineOptions:
             prescreen=args.prescreen,
             prescreen_safety_rate=args.prescreen_safety_rate,
             seed=args.seed,
-            battery_eval=not args.no_battery_eval,
-            masked_fusion=not args.no_masked_fusion,
-            dead_flags=not args.no_dead_flags,
-            compile_programs=not args.interpretive,
             cache=args.cache,
             cache_entries=args.cache_entries,
             cache_dir=args.cache_dir,
@@ -167,13 +161,14 @@ class EngineOptions:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineOptions":
+        data = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
                 f"unknown EngineOptions field(s): {', '.join(unknown)}"
             )
-        return cls(**dict(data))
+        return cls(**data)
 
 
 def run_fuzz(
@@ -277,27 +272,12 @@ def run_minimize(options: EngineOptions, advise_fences: bool = False):
 def run_replay(
     corpus_dir: str,
     arch: Optional[str] = None,
-    battery_eval: bool = True,
-    masked_fusion: bool = True,
-    dead_flags: bool = True,
-    compile_programs: bool = True,
     progress: Optional[Callable[..., None]] = None,
 ):
     """Re-run a counterexample corpus (the ``replay`` subcommand);
     returns the corpus's replay report."""
     from repro.corpus import CounterexampleCorpus
 
-    overrides: Dict[str, Any] = {}
-    if not battery_eval:
-        overrides["battery_eval"] = False
-    if not masked_fusion:
-        overrides["optimize_masked_access"] = False
-    if not dead_flags:
-        overrides["optimize_dead_flags"] = False
-    if not compile_programs:
-        overrides["compile_programs"] = False
     return CounterexampleCorpus(corpus_dir).replay(
-        config_overrides=overrides or None,
-        arch=arch,
-        progress=progress,
+        arch=arch, progress=progress
     )

@@ -33,8 +33,8 @@ fresh process.
   first confirmed violation instead of draining the full budget: once a
   shard reports a violation, shards not yet started are skipped and
   running ones are told to stop at their next measurement batch (at
-  most one diversity round of test cases apart; every test case when
-  ``batch_measurements`` is off). Shards that completed before the
+  most one diversity round of test cases apart; every test case in a
+  timed or noisy campaign). Shards that completed before the
   signal produce exactly the reports they would in ``mode="full"``;
   cancelled shards return partial reports flagged ``cancelled``. How
   far an interrupted shard got depends on scheduling, so

@@ -126,7 +126,6 @@ class TestingPipeline:
                 outlier_threshold=config.outlier_threshold,
                 noise=noise,
                 noise_seed=config.seed,
-                compile_programs=config.compile_programs,
             ),
             arch=self.arch,
         )
@@ -143,41 +142,28 @@ class TestingPipeline:
         self._compiled: "OrderedDict[int, Tuple[TestCaseProgram, CompiledProgram]]" = (
             OrderedDict()
         )
-        self._pass_pipeline = default_pipeline(
-            optimize_dead_flags=config.optimize_dead_flags,
-            optimize_masked_access=config.optimize_masked_access,
-        )
+        self._pass_pipeline = default_pipeline()
 
-    def compiled_for(
-        self, program: TestCaseProgram
-    ) -> Optional[CompiledProgram]:
-        """The compile-once IR of a test case (``None`` when disabled).
+    def compiled_for(self, program: TestCaseProgram) -> CompiledProgram:
+        """The compile-once IR of a test case.
 
         Each distinct program is lowered (and optimized by the pass
         pipeline) exactly once and the IR is threaded through contract
         emulation, hardware-trace collection, the priming-swap check and
         the nesting revalidation. Lowerings live in the process-global
         :func:`~repro.emulator.compiled.shared_compiled_cache`, keyed by
-        content digest plus the pass configuration — so every pipeline
-        in the process (campaign shard workers and sweep cells run many
-        per worker) reuses one compilation of equal-text programs, and
-        a recycled ``id()`` can never alias a stale entry.
+        content digest — so every pipeline in the process (campaign
+        shard workers and sweep cells run many per worker) reuses one
+        compilation of equal-text programs, and a recycled ``id()`` can
+        never alias a stale entry.
         """
-        if not self.config.compile_programs:
-            return None
         key = id(program)
         entry = self._compiled.get(key)
         if entry is not None and entry[0] is program:
             self._compiled.move_to_end(key)
             return entry[1]
         cache = shared_compiled_cache()
-        digest_key = (
-            program_digest(program, self.arch.name),
-            (
-                self.config.optimize_dead_flags,
-                self.config.optimize_masked_access,
-            ),
-        )
+        digest_key = (program_digest(program, self.arch.name),)
         compiled = cache.get(digest_key)
         if compiled is None:
             compiled = self._pass_pipeline.run(
@@ -203,19 +189,19 @@ class TestingPipeline:
         The program fingerprint is computed once per call (so cache
         lookups cost a hash per input rather than an emulation) and the
         program is compiled once, shared by every input's collection.
-        With ``config.battery_eval`` the whole battery runs through the
-        group-lockstep engine (:mod:`repro.emulator.battery`) first;
-        whenever that engine declines, this falls through to the
-        per-input loop, which remains the behavioural referee. Either
-        way, the entries emulated on cache misses reach the trace cache's
-        disk tier in one :meth:`~ContractTraceCache.publish` at the end.
+        A battery of more than one input runs through the group-lockstep
+        engine (:mod:`repro.emulator.battery`) first; whenever that
+        engine declines, this falls through to the per-input loop, which
+        remains the behavioural referee. Either way, the entries emulated
+        on cache misses reach the trace cache's disk tier in one
+        :meth:`~ContractTraceCache.publish` at the end.
         """
-        if self.config.battery_eval and len(inputs) > 1:
-            compiled = self.compiled_for(program)
-            if compiled is not None:
-                collected = self._collect_battery(compiled, program, inputs)
-                if collected is not None:
-                    return collected
+        if len(inputs) > 1:
+            collected = self._collect_battery(
+                self.compiled_for(program), program, inputs
+            )
+            if collected is not None:
+                return collected
         fingerprint = (
             program_fingerprint(program, self.arch.name)
             if self.trace_cache is not None
@@ -352,9 +338,8 @@ class TestingPipeline:
     ) -> TestOutcome:
         """Collect both trace kinds and run the relational analysis."""
         ctraces, logs = self.collect_contract_traces(program, inputs)
-        compiled = self.compiled_for(program)
         htraces = self.executor.collect_hardware_traces(
-            program if compiled is None else compiled, inputs
+            self.compiled_for(program), inputs
         )
         analysis = self.analyzer.analyze(ctraces, htraces)
         run_infos = [list(infos) for infos in self.executor.last_run_infos]
@@ -368,15 +353,8 @@ class TestingPipeline:
         contract half). Returns ``(htraces, run_infos)`` per case,
         ``None`` traces where the measurement faulted (the sequential
         skip)."""
-        lowered = [
-            (program, self.compiled_for(program))
-            for program, _inputs in cases
-        ]
         trace_batches = self.executor.collect_hardware_traces_batched(
-            [
-                program if compiled is None else compiled
-                for program, compiled in lowered
-            ],
+            [self.compiled_for(program) for program, _inputs in cases],
             [inputs for _program, inputs in cases],
             skip_faulting=True,
         )
@@ -641,22 +619,21 @@ class Fuzzer:
 
         ``should_stop`` is an optional zero-argument callable polled
         between measurement batches (at most ``round_size`` test cases
-        apart; every case when batching is off); when it returns True
-        the campaign stops early with ``report.cancelled`` set (the
+        apart; every case when measuring case by case); when it returns
+        True the campaign stops early with ``report.cancelled`` set (the
         campaign runner's first-violation early-cancel signal).
 
-        With ``config.batch_measurements`` (the default) the hardware
-        traces of one diversity round's test cases are collected in a
-        single executor batch. Generation order, analysis order and the
-        round-boundary reconfiguration points are unchanged, so the
-        report is identical to the case-by-case loop (the one corner
-        that can differ: a case whose *hardware* run faults while its
-        contract model would not — the batch skips it before any
+        The hardware traces of one diversity round's test cases are
+        collected in a single executor batch. Generation order, analysis
+        order and the round-boundary reconfiguration points are those of
+        the case-by-case loop, so the report is identical to it (the one
+        corner that can differ: a case whose *hardware* run faults while
+        its contract model would not — the batch skips it before any
         contract emulation, so only the emulation/cache counters move,
         never a finding). Timed campaigns (``timeout_seconds``) and
         noisy executors (an armed :class:`NoiseModel` draws from one
-        RNG stream, which measurement reordering would shift) fall back
-        to per-case measurement.
+        RNG stream, which measurement reordering would shift) measure
+        case by case.
         """
         config = self.config
         report = FuzzingReport(coverage=self.coverage)
@@ -670,11 +647,7 @@ class Fuzzer:
         # checks and contract collections) would change its draws.
         batch_limit = (
             max(1, config.round_size)
-            if (
-                config.batch_measurements
-                and config.timeout_seconds is None
-                and self.noise.is_silent
-            )
+            if config.timeout_seconds is None and self.noise.is_silent
             else 1
         )
 
@@ -846,13 +819,10 @@ class Fuzzer:
 
     def _classify_case(self, program: TestCaseProgram):
         """Run the static leak pre-screen on one generated test case."""
-        compiled = self.pipeline.compiled_for(program)
-        if compiled is None:
-            # compile_programs is off: lower a throwaway IR just for
-            # the analyses (the pipeline keeps interpreting)
-            compiled = compile_program(program, self.arch)
         return prescreen_classify(
-            compiled, self.pipeline.contract, self.config.executor_mode
+            self.pipeline.compiled_for(program),
+            self.pipeline.contract,
+            self.config.executor_mode,
         )
 
     # -- diversity feedback ------------------------------------------------------

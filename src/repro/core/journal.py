@@ -41,18 +41,12 @@ SPEC_FILE = "spec.json"
 _RECORD_PREFIX = "shard-"
 _RECORD_SUFFIX = ".pkl"
 
-# FuzzerConfig fields that do not influence shard results: the
-# determinism contracts (docs/performance.md, docs/corpus.md) pin that
-# reports are byte-identical across these knobs, and cache/corpus
-# plumbing is side-channel state.  Excluding them means a resume may
-# legally flip e.g. --no-battery-eval without invalidating checkpoints.
+# FuzzerConfig fields that do not influence shard results: cache and
+# corpus plumbing is side-channel state.  Excluding them means a resume
+# may legally add or drop e.g. --cache-dir without invalidating
+# checkpoints.
 EXCLUDED_CONFIG_FIELDS = frozenset(
     {
-        "compile_programs",
-        "optimize_dead_flags",
-        "optimize_masked_access",
-        "battery_eval",
-        "batch_measurements",
         "contract_trace_cache",
         "trace_cache_entries",
         "trace_cache_dir",

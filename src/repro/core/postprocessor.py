@@ -20,7 +20,9 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction, TestCaseProgram
 from repro.analysis.fence_advisor import FencePlan, advise_fences as advise
-from repro.emulator.compiled import compile_program
+# imported by name only so perfbench's tracer, which wraps
+# compile_program in every module that imports it, still installs
+from repro.emulator.compiled import compile_program  # noqa: F401
 from repro.emulator.errors import EmulationError
 from repro.emulator.state import InputData
 from repro.core.fuzzer import TestingPipeline
@@ -128,8 +130,7 @@ class Postprocessor:
         advice = None
         if advise_fences:
             advice = advise(
-                self.pipeline.compiled_for(program)
-                or compile_program(program, self.arch),
+                self.pipeline.compiled_for(program),
                 program,
                 self.pipeline.config.executor_mode,
             )

@@ -40,8 +40,9 @@ Replay verdicts (:class:`ReplayResult`):
 ``python -m repro replay --corpus DIR`` drives this as a CLI gate:
 exit 1 on any FAIL/CHANGED, and with ``--strict`` also on any SKIP or
 an empty corpus. :meth:`ReplayReport.report_digest` is a canonical
-digest over the per-entry outcomes, byte-identical across the
-``compile_programs`` / ``battery_eval`` / pass-pipeline knobs — the
+digest over the per-entry outcomes, byte-identical on the production
+engine and on every reference path the tests route pipelines onto
+(the interpretive IR, the per-input contract loop, no IR passes) — the
 corpus is the fixed external artifact that pins those engines'
 byte-identical contracts between releases.
 """
@@ -55,7 +56,7 @@ import os
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.emulator.errors import EmulationError
@@ -128,8 +129,9 @@ def violation_digest(
     verdict to assembler formatting) and every wall-clock or
     scheduling-dependent counter. Contract traces and hardware traces
     are byte-identical across the compiled/interpretive/battery
-    engines and the IR pass pipeline, so this digest is too — replay
-    compares it across those knobs as an end-to-end determinism check.
+    engines and the IR pass pipeline, so this digest is too — the
+    tests replay on each reference path as an end-to-end determinism
+    check.
     """
     evidence = {
         "arch": violation.arch_name,
@@ -348,9 +350,8 @@ class ReplayReport:
         """Canonical digest over the deterministic per-entry outcomes.
 
         Sorted by entry file name; covers verdicts and observed
-        violation digests, never wall-clock. Byte-identical across the
-        compiled/interpretive/battery/pass-pipeline knobs — the
-        cross-knob determinism tests compare exactly this string.
+        violation digests, never wall-clock. Byte-identical on every
+        reference path — the determinism tests pin exactly this string.
         """
         canonical = json.dumps(
             sorted(
@@ -528,19 +529,8 @@ class CounterexampleCorpus:
 
     # -- replay -----------------------------------------------------------
 
-    def replay_entry(
-        self,
-        entry: CorpusEntry,
-        config_overrides: Optional[Mapping[str, object]] = None,
-    ) -> ReplayResult:
-        """Re-run one entry through the full testing pipeline.
-
-        ``config_overrides`` are :class:`FuzzerConfig` field overrides
-        (``battery_eval=False``, ``compile_programs=False``, …) applied
-        on top of the record's coordinates — the knob matrix the
-        determinism tests sweep. Detection must be knob-independent;
-        the verdict digest proves it.
-        """
+    def replay_entry(self, entry: CorpusEntry) -> ReplayResult:
+        """Re-run one entry through the full testing pipeline."""
         if entry.record is None:
             return ReplayResult(
                 entry=entry,
@@ -558,9 +548,7 @@ class CounterexampleCorpus:
                 ),
             )
         try:
-            pipeline, program = self._build_pipeline(
-                record, config_overrides
-            )
+            pipeline, program = self._build_pipeline(record)
         except (KeyError, ValueError) as error:
             # unregistered arch/contract/cpu, or unparseable program
             # text: the record outlived this build's registries
@@ -618,10 +606,7 @@ class CounterexampleCorpus:
         )
 
     def replay(
-        self,
-        config_overrides: Optional[Mapping[str, object]] = None,
-        arch: Optional[str] = None,
-        progress=None,
+        self, arch: Optional[str] = None, progress=None
     ) -> ReplayReport:
         """Replay every record (optionally restricted to one arch)."""
         start = time.perf_counter()
@@ -633,7 +618,7 @@ class CounterexampleCorpus:
                 and entry.record.arch != arch
             ):
                 continue
-            result = self.replay_entry(entry, config_overrides)
+            result = self.replay_entry(entry)
             report.results.append(result)
             if progress is not None:
                 progress(result)
@@ -641,10 +626,7 @@ class CounterexampleCorpus:
         return report
 
     @staticmethod
-    def _build_pipeline(
-        record: CorpusRecord,
-        config_overrides: Optional[Mapping[str, object]] = None,
-    ):
+    def _build_pipeline(record: CorpusRecord):
         """The (pipeline, parsed program) pair one record replays on."""
         from repro.arch import get_architecture
         from repro.core.fuzzer import TestingPipeline
@@ -657,8 +639,6 @@ class CounterexampleCorpus:
             analyzer_mode=record.analyzer_mode,
             seed=record.seed,
         )
-        if config_overrides:
-            config = replace(config, **dict(config_overrides))
         arch = get_architecture(record.arch)
         program = arch.parse_program(
             record.program_text, name=record.name or "corpus-entry"

@@ -579,17 +579,17 @@ def compile_program(program: TestCaseProgram, arch=None,
 
 def as_compiled(program: Union[TestCaseProgram, LinearProgram,
                                CompiledProgram],
-                arch=None, interpretive: bool = False) -> CompiledProgram:
+                arch=None) -> CompiledProgram:
     """Normalize any program representation to a :class:`CompiledProgram`.
 
-    Already-compiled programs pass through untouched (their own
-    ``interpretive`` flag wins — they were compiled once upstream).
+    Already-compiled programs pass through untouched, interpretive ones
+    included (they were compiled once upstream).
     """
     if isinstance(program, CompiledProgram):
         return program
     if isinstance(program, LinearProgram):
-        return compile_linear(program, arch, interpretive)
-    return compile_program(program, arch, interpretive)
+        return compile_linear(program, arch)
+    return compile_program(program, arch)
 
 
 # -- cross-object IR reuse ----------------------------------------------------
@@ -631,9 +631,10 @@ class CompiledProgramCache:
     :func:`program_digest` instead of object identity lets every
     pipeline in the process reuse the one lowering.
 
-    The key must include every knob that changes the lowered artifact:
-    callers append their optimization-pass configuration to the digest
-    (see ``TestingPipeline.compiled_for``).
+    A key is the digest plus whatever else names the lowering: the
+    pipeline's pass-optimized IR is keyed ``(digest,)`` (see
+    ``TestingPipeline.compiled_for``), an executor's own unoptimized
+    lowering ``(digest, "executor")``.
     """
 
     def __init__(self, max_entries: int = 512):

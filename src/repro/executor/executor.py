@@ -54,12 +54,6 @@ class ExecutorConfig:
     outlier_threshold: int = 1
     noise: NoiseModel = NO_NOISE
     noise_seed: int = 0
-    #: lower each measured program to the compile-once IR
-    #: (:mod:`repro.emulator.compiled`) and reuse it across every
-    #: warm-up, repetition and priming input of a collection; False
-    #: keeps the per-step interpretive decode (bit-identical traces
-    #: either way — this is the reference path of the equality tests)
-    compile_programs: bool = True
 
 
 @dataclass
@@ -118,35 +112,25 @@ class Executor:
         return self.cpu.cache.cached_lines(self.layout.base, self.layout.size)
 
     def _lower(self, program) -> CompiledProgram:
-        """Lower a program to the IR exactly once per collection.
-
-        With ``config.compile_programs`` (the default) the handlers are
-        the compiled closures; otherwise the interpretive fallbacks —
-        either way the CPU loop runs the same IR records, so the
-        repeated measurements of a priming sequence never re-decode.
+        """Lower a program to the compile-once IR
+        (:mod:`repro.emulator.compiled`) exactly once per collection, so
+        the repeated measurements of a priming sequence never re-decode.
         Test-case programs route through the process-global
         digest-keyed IR cache, so an executor handed a raw program (no
         pipeline pre-lowering, e.g. the gallery tools) still reuses any
-        equal-text compilation in this process.
+        equal-text compilation in this process. Compiled programs pass
+        through, interpretive ones included (the equality tests'
+        reference path).
         """
         if isinstance(program, TestCaseProgram):
-            interpretive = not self.config.compile_programs
             cache = shared_compiled_cache()
-            key = (
-                program_digest(program, self.arch.name),
-                ("executor", interpretive),
-            )
+            key = (program_digest(program, self.arch.name), "executor")
             compiled = cache.get(key)
             if compiled is None:
-                compiled = as_compiled(
-                    program, self.arch, interpretive=interpretive
-                )
+                compiled = as_compiled(program, self.arch)
                 cache.put(key, compiled)
             return compiled
-        return as_compiled(
-            program, self.arch,
-            interpretive=not self.config.compile_programs,
-        )
+        return as_compiled(program, self.arch)
 
     def _measure_once(
         self, program: CompiledProgram, input_data: InputData

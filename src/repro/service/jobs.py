@@ -36,6 +36,7 @@ Lifecycle hardening (docs/service.md "Robustness"):
 from __future__ import annotations
 
 import itertools
+import logging
 import os
 import threading
 import time
@@ -50,6 +51,8 @@ from repro.arch import get_architecture
 from repro.core.trace_cache import program_fingerprint
 from repro.core.violation import Violation
 from repro.service.state import ServiceState
+
+logger = logging.getLogger(__name__)
 
 JOB_KINDS = ("fuzz", "campaign", "sweep")
 JOB_STATES = (
@@ -93,6 +96,12 @@ def violation_record(violation: Violation) -> Dict[str, Any]:
         "test_cases_until_found": violation.test_cases_until_found,
         "inputs_until_found": violation.inputs_until_found,
     }
+
+
+#: fields older releases wrote (``serve --state-dir`` snapshots keep
+#: them): scheduler knobs that never changed a result, so ``from_dict``
+#: drops them
+_RETIRED_FIELDS = frozenset({"schedule", "parallel_cells"})
 
 
 @dataclass
@@ -141,13 +150,16 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
+        data = {
+            k: v for k, v in dict(data).items() if k not in _RETIRED_FIELDS
+        }
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
                 f"unknown JobSpec field(s): {', '.join(unknown)}"
             )
-        return cls(**dict(data))
+        return cls(**data)
 
 
 class Job:
@@ -429,8 +441,12 @@ class CampaignService:
                 pass
             try:
                 spec = JobSpec.from_dict(payload.get("spec") or {})
-            except (TypeError, ValueError):
-                continue  # unparseable spec: skip the record
+            except (TypeError, ValueError) as error:
+                logger.warning(
+                    "skipping job %s from the state dir: unparseable "
+                    "spec (%s)", job_id, error,
+                )
+                continue
             state = payload.get("state")
             job = Job(job_id, spec)
             job.submitted_at = payload.get(

@@ -30,7 +30,6 @@ class TestEngineOptions:
         assert options.cpu == "skylake"
         assert options.num_test_cases == 200
         assert options.inputs_per_test_case == 50
-        assert options.battery_eval is True
         assert options.cache is False
 
     def test_to_fuzzer_config_maps_every_knob(self):
@@ -39,10 +38,6 @@ class TestEngineOptions:
             subsets="AR+MEM",
             executor_mode="F+R",
             entropy_bits=3,
-            battery_eval=False,
-            masked_fusion=False,
-            dead_flags=False,
-            compile_programs=False,
             cache=True,
             cache_entries=128,
         )
@@ -53,10 +48,6 @@ class TestEngineOptions:
         assert config.cpu_preset == "skylake-v4-patched"
         assert config.executor_mode == "F+R"
         assert config.entropy_bits == 3
-        assert config.battery_eval is False
-        assert config.optimize_masked_access is False
-        assert config.optimize_dead_flags is False
-        assert config.compile_programs is False
         assert config.contract_trace_cache is True
         assert config.trace_cache_entries == 128
 
@@ -76,6 +67,17 @@ class TestEngineOptions:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown EngineOptions"):
             api.EngineOptions.from_dict({"contract": "CT-SEQ", "nope": 1})
+
+    def test_from_dict_drops_the_retired_engine_knobs(self):
+        # older snapshots carry them; they never changed a result
+        data = dict(
+            quick_options().to_dict(),
+            battery_eval=False,
+            masked_fusion=False,
+            dead_flags=False,
+            compile_programs=False,
+        )
+        assert api.EngineOptions.from_dict(data) == quick_options()
 
 
 class TestRunners:

@@ -14,11 +14,9 @@ tests pin the equality from four directions:
   to model (architectural faults, the step budget);
 - **bookkeeping parity**: ``TestingPipeline`` emulation counters and
   trace-cache statistics (duplicate inputs included) must not move a
-  unit when ``battery_eval`` flips, and ``ContractTraceCache.peek``
-  must observably not mutate stats or LRU order;
-- **the pass pipeline**: masked-access fusion fires on the §5.1 idiom,
-  is gated on the dead-flag proof for x86 ``AND``, and never changes a
-  trace.
+  unit when one pipeline's battery declines, and
+  ``ContractTraceCache.peek`` must observably not mutate stats or LRU
+  order.
 """
 
 import os
@@ -26,7 +24,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.fusion import fuse_masked_access
 from repro.analysis.passes import default_pipeline
 from repro.arch import architecture_names, get_architecture
 from repro.contracts import get_contract
@@ -302,23 +299,31 @@ def test_shared_scratch_stays_empty():
 # -- pipeline bookkeeping parity ----------------------------------------------
 
 
-def _pipeline_pair(arch_name, **overrides):
-    base = FuzzerConfig(arch=arch_name, **overrides)
-    on = TestingPipeline(base)
-    off = TestingPipeline(replace(base, battery_eval=False))
-    assert on.config.battery_eval and not off.config.battery_eval
-    return on, off
+def _decline_battery(monkeypatch, pipeline):
+    """Route one pipeline onto the per-input loop: its battery declines.
+    Returns the list of declined collections."""
+    declined = []
+
+    def decline(compiled, program, inputs):
+        declined.append(program)
+        return None
+
+    monkeypatch.setattr(pipeline, "_collect_battery", decline)
+    return declined
 
 
 @pytest.mark.parametrize("arch_name", ARCHS)
-def test_pipeline_counter_parity_without_cache(arch_name):
+def test_pipeline_counter_parity_without_cache(arch_name, monkeypatch):
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
-    on, off = _pipeline_pair(arch_name)
+    config = FuzzerConfig(arch=arch_name)
+    on, off = TestingPipeline(config), TestingPipeline(config)
+    declined = _decline_battery(monkeypatch, off)
     program = _generator(arch, layout, seed=51).generate()
     inputs = _inputs(arch, layout, seed=52, count=8)
     result_on = on.collect_contract_traces(program, inputs)
     result_off = off.collect_contract_traces(program, inputs)
+    assert declined == [program]
     assert result_on[0] == result_off[0]
     assert [log.entries for log in result_on[1]] == [
         log.entries for log in result_off[1]
@@ -331,13 +336,15 @@ def test_pipeline_counter_parity_without_cache(arch_name):
     [pytest.param(name, False, id=name) for name in ARCHS]
     + [pytest.param(name, True, id=f"{name}-disk") for name in ARCHS],
 )
-def test_pipeline_cache_parity_with_duplicates(arch_name, persistent, tmp_path):
+def test_pipeline_cache_parity_with_duplicates(
+    arch_name, persistent, tmp_path, monkeypatch
+):
     """Hit/miss stats, emulation counters and cached results must be
-    identical with ``battery_eval`` flipped — including a battery that
-    contains the same input twice (first occurrence misses and is
-    remembered, second hits) and a warm second collection. On the disk
-    tier each side publishes its collection as one record, which a
-    fresh pipeline then replays without a single emulation."""
+    identical when one pipeline's battery declines — including a
+    battery that contains the same input twice (first occurrence misses
+    and is remembered, second hits) and a warm second collection. On
+    the disk tier each side publishes its collection as one record,
+    which a fresh pipeline then replays without a single emulation."""
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
     base = FuzzerConfig(arch=arch_name, contract_trace_cache=True)
@@ -345,18 +352,17 @@ def test_pipeline_cache_parity_with_duplicates(arch_name, persistent, tmp_path):
         base, trace_cache_dir=str(tmp_path / "on") if persistent else None
     )
     off_config = replace(
-        base,
-        battery_eval=False,
-        trace_cache_dir=str(tmp_path / "off") if persistent else None,
+        base, trace_cache_dir=str(tmp_path / "off") if persistent else None
     )
     on, off = TestingPipeline(on_config), TestingPipeline(off_config)
-    assert on.config.battery_eval and not off.config.battery_eval
+    declined = _decline_battery(monkeypatch, off)
     program = _generator(arch, layout, seed=61).generate()
     distinct = _inputs(arch, layout, seed=62, count=6)
     inputs = distinct + [distinct[0], distinct[3]]
 
     result_on = on.collect_contract_traces(program, inputs)
     result_off = off.collect_contract_traces(program, inputs)
+    assert declined == [program]
     assert result_on[0] == result_off[0]
     assert on.contract_emulations == off.contract_emulations == len(distinct)
     assert on.trace_cache.stats.hits == off.trace_cache.stats.hits == 2
@@ -462,70 +468,3 @@ def test_equal_configs_generate_equal_batteries():
     first = make()
     second = make()
     assert first == second
-
-
-# -- masked-access fusion -----------------------------------------------------
-
-
-def _fusible_program(arch_name):
-    """The §5.1 idiom: mask a register, use it as an address offset. The
-    trailing compare redefines the x86 flags so the AND's writes are
-    provably dead (the fusion precondition)."""
-    if arch_name == "x86_64":
-        return parse_program(
-            "AND RAX, 4032\n"
-            "MOV RBX, qword ptr [R14 + RAX]\n"
-            "CMP RBX, RBX\n"
-            "NOP"
-        )
-    arch = get_architecture(arch_name)
-    return arch.parse_program(
-        "AND X1, X1, #4032\n"
-        "LDR X2, [X27, X1]\n"
-        "CMP X2, X2\n"
-        "NOP"
-    )
-
-
-@pytest.mark.parametrize("arch_name", ARCHS)
-def test_fusion_fires_on_masked_access_idiom(arch_name):
-    arch = get_architecture(arch_name)
-    program = _fusible_program(arch_name)
-    compiled = compile_program(program, arch)
-    report = default_pipeline().run(compiled)
-    assert 0 in report.applied("masked-access-fusion")
-
-
-@pytest.mark.parametrize("arch_name", ARCHS)
-def test_fusion_preserves_traces(arch_name):
-    """Fused handlers are specializations, not approximations: traces
-    and logs match the unoptimized IR on a randomized battery."""
-    arch = get_architecture(arch_name)
-    layout = SandboxLayout()
-    contract = get_contract("CT-COND")
-    program = _fusible_program(arch_name)
-    compiled = compile_program(program, arch)
-    optimized = default_pipeline().run(compiled).program
-    inputs = _inputs(arch, layout, seed=91, count=8)
-    reference = _per_input(contract, program, inputs, layout, arch, compiled)
-    fused = _per_input(contract, program, inputs, layout, arch, optimized)
-    for (trace_a, log_a), (trace_b, log_b) in zip(reference, fused):
-        assert trace_a == trace_b
-        assert log_a.entries == log_b.entries
-
-
-def test_x86_fusion_requires_dead_flag_proof():
-    """An x86 AND whose flags are live at exit must not fuse: without
-    the dead-flag proof the specialized handler would skip observable
-    flag writes."""
-    arch = get_architecture("x86_64")
-    # no later flag write: the AND's flags are live at program exit
-    program = parse_program(
-        "AND RAX, 4032\nMOV RBX, qword ptr [R14 + RAX]\nNOP"
-    )
-    compiled = compile_program(program, arch)
-    report = fuse_masked_access(compiled, dead_flag_pcs=frozenset())
-    assert report.fused == ()
-    assert default_pipeline().run(compiled).applied(
-        "masked-access-fusion"
-    ) == ()

@@ -264,14 +264,24 @@ class TestCorpusFlags:
         assert args.json is None
         args = build_parser().parse_args(
             ["replay", "--corpus", "c", "--strict", "--arch", "aarch64",
-             "--no-battery-eval", "--no-masked-fusion", "--no-dead-flags",
-             "--interpretive", "--json", "out.json"]
+             "--json", "out.json"]
         )
-        assert args.strict and args.interpretive and args.no_battery_eval
+        assert args.strict and args.arch == "aarch64"
+        assert args.json == "out.json"
 
     def test_replay_requires_corpus(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay"])
+
+    def test_engine_knob_flags_are_gone(self):
+        # one production engine: the byte-identical knobs are retired
+        parser = build_parser()
+        for command in ("fuzz", "campaign", "sweep", "minimize", "replay"):
+            base = [command] + (["--corpus", "c"] if command == "replay" else [])
+            for flag in ("--no-battery-eval", "--no-masked-fusion",
+                         "--no-dead-flags", "--interpretive"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(base + [flag])
 
 
 class TestReplayCommand:

@@ -9,8 +9,8 @@ Three layers of evidence, from exhaustive to end-to-end:
   programs on both ISAs, stepped in lockstep (arch state, memory
   accesses, branch info per step), plus contract traces/logs across all
   execution clauses, ``SpeculativeCPU`` run infos with trace-hook
-  parity, and executor hardware traces with the ``compile_programs``
-  knob flipped;
+  parity, and executor hardware traces on compiled and interpretive
+  IR;
 - **structure**: what the compiler precomputes (resolved labels,
   condition codes, serializing bits, latency classes) and how the
   pipeline memoizes the IR.
@@ -224,8 +224,8 @@ def test_random_programs_cpu_runs_identical(arch_name):
 
 @pytest.mark.parametrize("arch_name", ARCHS)
 def test_executor_traces_identical_across_engine_knob(arch_name):
-    """Hardware traces (and per-input run infos) are byte-identical with
-    ``compile_programs`` on and off."""
+    """Hardware traces (and per-input run infos) are byte-identical on
+    compiled and on interpretive IR."""
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
     generator = _generator(arch, layout, seed=41)
@@ -233,16 +233,18 @@ def test_executor_traces_identical_across_engine_knob(arch_name):
     inputs = _inputs(arch, layout, seed=42, count=6)
 
     outcomes = {}
-    for flag in (True, False):
+    for interpretive in (False, True):
         executor = Executor(
             preset("skylake"),
             measurement_mode("P+P"),
             layout,
-            ExecutorConfig(compile_programs=flag),
+            ExecutorConfig(),
             arch=arch,
         )
-        traces = executor.collect_hardware_traces(program, inputs)
-        outcomes[flag] = (traces, executor.last_run_infos)
+        lowered = compile_program(program, arch, interpretive=interpretive)
+        assert lowered.interpretive is interpretive
+        traces = executor.collect_hardware_traces(lowered, inputs)
+        outcomes[interpretive] = (traces, executor.last_run_infos)
 
     assert outcomes[True][0] == outcomes[False][0]
     assert outcomes[True][1] == outcomes[False][1]
@@ -358,17 +360,6 @@ def test_pipeline_compile_memo_outlives_a_measurement_round():
     compiled = [pipeline.compiled_for(program) for program in programs]
     for program, ir in zip(programs, compiled):
         assert pipeline.compiled_for(program) is ir
-
-
-def test_pipeline_honours_compile_programs_flag():
-    pipeline = TestingPipeline(
-        FuzzerConfig(num_test_cases=1, compile_programs=False)
-    )
-    program = pipeline.arch.parse_program("NOP\n")
-    assert pipeline.compiled_for(program) is None
-    assert pipeline.executor.config.compile_programs is False
-    lowered = pipeline.executor._lower(program)
-    assert lowered.interpretive  # reference handlers, same IR loop
 
 
 # -- satellite regressions ----------------------------------------------------

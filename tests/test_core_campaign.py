@@ -2,6 +2,8 @@
 report merging (coverage union, first-violation-wins), digests pinned
 across worker counts, and checkpoint/resume."""
 
+import json
+
 import pytest
 
 from repro.isa.instruction import TestCaseProgram
@@ -380,12 +382,13 @@ class TestJournal:
             self.run_journaled(tmp_path, resume=True, num_test_cases=17)
 
     def test_engine_knobs_do_not_invalidate_checkpoints(self, tmp_path):
-        # byte-identity knobs are excluded from the spec digest, so a
-        # resume may legally flip them (docs/performance.md)
+        # the retired byte-identity engine knobs were excluded from the
+        # spec digest, so retiring them moved no digest: a journal that
+        # a release with the knobs started still resumes
         first = self.run_journaled(tmp_path)
-        resumed = self.run_journaled(
-            tmp_path, resume=True, battery_eval=False
-        )
+        spec = json.loads((tmp_path / "ckpt" / "spec.json").read_text())
+        assert spec["digest"] == "a59e5eb6c5bb60155549b77cc8fd53affbfdc31a"
+        resumed = self.run_journaled(tmp_path, resume=True)
         assert resumed.report_digest() == first.report_digest()
 
     def test_resume_requires_a_journal_dir(self):

@@ -206,9 +206,13 @@ class TestFalsePositiveFilters:
 
 
 class TestBatchedMeasurement:
-    """The round-batched measurement path (config.batch_measurements)
-    must be invisible in the report: identical generation order,
-    analysis order, counters and findings."""
+    """The round-batched measurement path must be invisible in the
+    report: identical generation order, analysis order, counters and
+    findings. The reference is a timed campaign, which checks the clock
+    between test cases and so measures case by case."""
+
+    #: a budget no test reaches: it only turns batching off
+    TIMEOUT = 3600.0
 
     REPORT_FIELDS = (
         "test_cases",
@@ -224,11 +228,28 @@ class TestBatchedMeasurement:
         "cancelled",
     )
 
+    @staticmethod
+    def _run(config, *noise):
+        """The report plus the size of every measurement batch."""
+        fuzzer = Fuzzer(config, *noise)
+        sizes = []
+        measure = fuzzer.pipeline.measure_batch
+
+        def counting(cases):
+            sizes.append(len(cases))
+            return measure(cases)
+
+        fuzzer.pipeline.measure_batch = counting
+        return fuzzer.run(), sizes
+
     def _compare(self, config):
         from dataclasses import replace
 
-        batched = Fuzzer(replace(config, batch_measurements=True)).run()
-        sequential = Fuzzer(replace(config, batch_measurements=False)).run()
+        batched, batch_sizes = self._run(config)
+        sequential, case_sizes = self._run(
+            replace(config, timeout_seconds=self.TIMEOUT)
+        )
+        assert max(batch_sizes) > 1 and max(case_sizes) == 1
         for field in self.REPORT_FIELDS:
             assert getattr(batched, field) == getattr(sequential, field), field
         assert batched.coverage.covered == sequential.coverage.covered
@@ -309,8 +330,8 @@ class TestBatchedMeasurement:
     def test_armed_noise_forces_per_case_measurement(self):
         """An armed noise model draws from one RNG stream; batching
         would reorder measurements around swap checks and faulting
-        cases, so the loop falls back to per-case — and the reports of
-        both batch_measurements settings stay identical."""
+        cases, so the loop falls back to per-case — and the report
+        equals a timed campaign's, which measures case by case."""
         from dataclasses import replace
 
         from repro.executor.noise import NoiseModel
@@ -321,10 +342,11 @@ class TestBatchedMeasurement:
             num_test_cases=15,
             inputs_per_test_case=8,
         )
-        batched = Fuzzer(replace(config, batch_measurements=True), noise).run()
-        sequential = Fuzzer(
-            replace(config, batch_measurements=False), noise
-        ).run()
+        batched, batch_sizes = self._run(config, noise)
+        sequential, _sizes = self._run(
+            replace(config, timeout_seconds=self.TIMEOUT), noise
+        )
+        assert max(batch_sizes) == 1
         assert batched.test_cases == sequential.test_cases
         assert batched.found == sequential.found
         assert batched.contract_emulations == sequential.contract_emulations

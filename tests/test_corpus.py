@@ -5,10 +5,10 @@ backends, the storage discipline (atomic publish, digest dedup,
 schema-version rejection, torn-file degradation to SKIP), the replay
 verdict semantics, the persistence hooks (Fuzzer.run and
 Postprocessor.minimize), and — against the checked-in ``corpus/seed``
-artifact — the cross-knob determinism matrix: the replay report digest
-must be byte-identical across the pass-pipeline and battery-engine
-knobs (the PR 5-7 contracts, pinned by a fixed external artifact
-instead of self-parity).
+artifact — the determinism matrix: the replay report digest is pinned
+on the production engine and on every combination of the reference
+paths (the byte-identical engine contracts, pinned by a fixed external
+artifact instead of self-parity).
 """
 
 import functools
@@ -268,10 +268,19 @@ class TestPersistenceHooks:
         assert corpus.replay_entry(entries[0]).verdict == PASS
 
 
+def take_paths(reference_path, paths):
+    """Route onto every reference path in ``paths``; returns the list
+    each taken path appends its name to."""
+    taken = []
+    for name in paths:
+        taken = reference_path(name)
+    return taken
+
+
 class TestKnobParity:
-    """Replay is engine-independent: per-input vs battery, compiled vs
-    interpretive — same verdicts, same digests (ISSUE satellite on
-    --no-battery-eval / compile_programs=False parity)."""
+    """Replay is engine-independent: the per-input contract loop and
+    interpretive IR, alone and together, give the production engine's
+    verdicts and digest on freshly recorded gadget counterexamples."""
 
     @pytest.fixture(scope="class")
     def small_corpus(self, tmp_path_factory):
@@ -283,39 +292,36 @@ class TestKnobParity:
         return corpus
 
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"battery_eval": False},
-            {"compile_programs": False},
-            {"battery_eval": False, "compile_programs": False},
-        ],
+        "paths",
+        [("per-input",), ("interpretive",), ("per-input", "interpretive")],
         ids=["no-battery", "interpretive", "interpretive-no-battery"],
     )
-    def test_digest_parity(self, small_corpus, overrides):
+    def test_digest_parity(self, small_corpus, reference_path, paths):
         baseline = small_corpus.replay()
         assert baseline.strict_ok()
-        knobbed = small_corpus.replay(config_overrides=overrides)
+        taken = take_paths(reference_path, paths)
+        knobbed = small_corpus.replay()
         assert knobbed.strict_ok()
         assert knobbed.report_digest() == baseline.report_digest()
+        assert set(taken) == set(paths)
+
+
+#: the first 12 hex digits of corpus/seed's replay report digest
+SEED_CORPUS_DIGEST = "24737b5bd965"
 
 
 class TestSeedCorpusDeterminismMatrix:
     """The checked-in corpus/seed is the fixed external artifact that
-    pins the PR 6-7 byte-identical pass-pipeline contract: the replay
-    report digest must not move across optimize_dead_flags x
-    optimize_masked_access x battery_eval."""
+    pins the byte-identical engine contracts: the replay report digest
+    is pinned on the production engine and on every combination of the
+    reference paths (per-input contract loop, interpretive IR, no IR
+    passes)."""
 
     @pytest.fixture(scope="class")
     def seed_corpus(self):
         corpus = CounterexampleCorpus(SEED_CORPUS)
         assert len(corpus) >= 3, "checked-in corpus/seed is missing"
         return corpus
-
-    @pytest.fixture(scope="class")
-    def baseline_digest(self, seed_corpus):
-        report = seed_corpus.replay()
-        assert report.strict_ok(), [r.detail for r in report.results]
-        return report.report_digest()
 
     def test_seed_corpus_covers_both_isas(self, seed_corpus):
         arches = {
@@ -325,19 +331,24 @@ class TestSeedCorpusDeterminismMatrix:
         }
         assert {"x86_64", "aarch64"} <= arches
 
-    @pytest.mark.parametrize("dead_flags", [True, False])
-    @pytest.mark.parametrize("masked_access", [True, False])
+    # ids read battery-compiled-passes; [True-True-True] is production
+    @pytest.mark.parametrize("passes", [True, False])
+    @pytest.mark.parametrize("compiled", [True, False])
     @pytest.mark.parametrize("battery", [True, False])
     def test_digest_is_knob_invariant(
-        self, seed_corpus, baseline_digest, dead_flags, masked_access,
-        battery,
+        self, seed_corpus, reference_path, passes, compiled, battery
     ):
-        report = seed_corpus.replay(
-            config_overrides={
-                "optimize_dead_flags": dead_flags,
-                "optimize_masked_access": masked_access,
-                "battery_eval": battery,
-            }
-        )
+        paths = [
+            name
+            for name, on in (
+                ("per-input", battery),
+                ("interpretive", compiled),
+                ("no-passes", passes),
+            )
+            if not on
+        ]
+        taken = take_paths(reference_path, paths)
+        report = seed_corpus.replay()
         assert report.strict_ok(), [r.detail for r in report.results]
-        assert report.report_digest() == baseline_digest
+        assert report.report_digest()[:12] == SEED_CORPUS_DIGEST
+        assert set(taken) == set(paths)

@@ -823,6 +823,73 @@ class TestStateRecovery:
         finally:
             service.shutdown()
 
+    def test_snapshot_with_retired_fields_is_recovered(self, tmp_path):
+        """A snapshot from a release that still had the byte-identical
+        engine knobs and the scheduler knobs — six fields that never
+        changed a result — is recovered, and its job resumes from its
+        journal to the uninterrupted digest."""
+        journal_dir = str(tmp_path / "journal")
+        options = quick_options()
+        baseline = api.run_campaign(
+            options, workers=1, shards=2, journal_dir=journal_dir
+        )
+        spec = JobSpec(
+            kind="campaign", options=options, workers=1, shards=2,
+            journal_dir=journal_dir,
+        ).to_dict()
+        spec["options"].update(
+            battery_eval=True, masked_fusion=True, dead_flags=True,
+            compile_programs=True,
+        )
+        spec.update(schedule="work-stealing", parallel_cells=1)
+        state_dir = str(tmp_path / "state")
+        assert ServiceState(state_dir).save_job(
+            {
+                "job_id": "job-0003-0ld0f1e1",
+                "spec": spec,
+                "state": "running",
+                "submitted_at": 0.0,
+                "events": [],
+                "violations": 0,
+                "error": None,
+                "report": None,
+            }
+        )
+
+        service = CampaignService(state_dir=state_dir)
+        try:
+            assert service.recovered_jobs == ["job-0003-0ld0f1e1"]
+            events, status = _drain(service, "job-0003-0ld0f1e1")
+            assert events[0]["event"] == "recovered"
+            assert status["state"] == "done"
+            assert status["report"]["digest"] == baseline.report_digest()
+        finally:
+            service.shutdown()
+
+    def test_unparseable_snapshot_is_skipped_with_a_warning(
+        self, tmp_path, caplog
+    ):
+        spec = JobSpec(kind="fuzz", options=quick_options()).to_dict()
+        spec["cores"] = 4  # a field no release ever had
+        state_dir = str(tmp_path / "state")
+        assert ServiceState(state_dir).save_job(
+            {"job_id": "job-0001-0dd0f1e1", "spec": spec, "state": "running"}
+        )
+        with caplog.at_level("WARNING", logger="repro.service.jobs"):
+            service = CampaignService(state_dir=state_dir)
+        try:
+            assert service.recovered_jobs == []
+        finally:
+            service.shutdown()
+        warnings = [
+            record for record in caplog.records
+            if record.name == "repro.service.jobs"
+        ]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        message = warnings[0].getMessage()
+        assert "job-0001-0dd0f1e1" in message and "cores" in message
+
     def test_state_write_faults_are_counted_not_fatal(self, tmp_path):
         state_dir = str(tmp_path / "state")
         service = CampaignService(state_dir=state_dir)

@@ -233,6 +233,47 @@ class TestCorpusReplaySection:
         )
 
 
+GOOD_EMULATION_THROUGHPUT = {
+    "emulation_throughput": {
+        "instructions": 44,
+        "programs": 6,
+        "inputs": 30,
+        "contract": "CT-COND",
+        "arches": {},
+        "throughput_ratio": 3.0,
+        "battery_ratio": 2.1,
+        "traces_equal": True,
+        "battery_traces_equal": True,
+    }
+}
+
+
+class TestEmulationThroughputSection:
+    def test_valid_section_passes(self, tmp_path):
+        # the knob-flipping report flags are gone: report equality
+        # lives in tests/test_reference_paths.py
+        assert check_bench_json.check_file(
+            write(tmp_path, GOOD_EMULATION_THROUGHPUT)
+        ) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("throughput_ratio", 1.9), ("battery_ratio", 1.4)],
+    )
+    def test_ratio_below_floor_rejected(self, tmp_path, key, value):
+        payload = json.loads(json.dumps(GOOD_EMULATION_THROUGHPUT))
+        payload["emulation_throughput"][key] = value
+        errors = check_bench_json.check_file(write(tmp_path, payload))
+        assert any(f"{key} must be >=" in error for error in errors)
+
+    @pytest.mark.parametrize("key", ["traces_equal", "battery_traces_equal"])
+    def test_unequal_traces_rejected(self, tmp_path, key):
+        payload = json.loads(json.dumps(GOOD_EMULATION_THROUGHPUT))
+        payload["emulation_throughput"][key] = False
+        errors = check_bench_json.check_file(write(tmp_path, payload))
+        assert any(f"{key} must be true" in error for error in errors)
+
+
 class TestAgainstRealReports:
     def test_sweep_report_cells_satisfy_the_schema(self, tmp_path):
         spec = SweepSpec(

@@ -338,14 +338,17 @@ class TestRecordLayout:
         cache.put(SAME_RECORD_KEY, ("t3", "l3"))
         assert cache.known_disk_bytes() == cache.disk_usage_bytes()
 
-    @pytest.mark.parametrize("battery_eval", [True, False])
+    @pytest.mark.parametrize("battery", [True, False])
     def test_one_publish_per_collection(
-        self, tmp_path, monkeypatch, battery_eval
+        self, tmp_path, monkeypatch, battery
     ):
         pipeline = TestingPipeline(
-            cached_config(trace_cache_dir=str(tmp_path),
-                          battery_eval=battery_eval)
+            cached_config(trace_cache_dir=str(tmp_path))
         )
+        if not battery:  # the per-input loop: the battery declines
+            monkeypatch.setattr(
+                pipeline, "_collect_battery", lambda *args: None
+            )
         program = parse_program(V1)
         inputs = InputGenerator(seed=3, layout=pipeline.layout).generate(8)
         replaced = _counting_replace(monkeypatch)
@@ -358,8 +361,9 @@ class TestRecordLayout:
         self, tmp_path, monkeypatch
     ):
         pipeline = TestingPipeline(
-            cached_config(trace_cache_dir=str(tmp_path), battery_eval=False)
+            cached_config(trace_cache_dir=str(tmp_path))
         )
+        monkeypatch.setattr(pipeline, "_collect_battery", lambda *args: None)
         program = parse_program(V1)
         inputs = InputGenerator(seed=3, layout=pipeline.layout).generate(4)
         contract_class = type(pipeline.contract)

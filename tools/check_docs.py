@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (the CI docs job).
 
-Four invariants, each also asserted by ``tests/test_docs.py``:
+Five invariants, each also asserted by ``tests/test_docs.py``:
 
 1. every intra-repo markdown link in ``docs/*.md`` (and the root
    markdown files) resolves to an existing file;
@@ -15,12 +15,12 @@ Four invariants, each also asserted by ``tests/test_docs.py``:
 4. every ``--flag`` mentioned anywhere under ``docs/`` is a registered
    option of some subcommand (so renamed or removed flags cannot
    linger in the prose);
-5. the five fuzzing subcommands (fuzz/campaign/sweep/minimize/replay)
-   expose the shared engine flags exclusively through
-   ``repro.cli.add_engine_options``/``add_engine_knob_options``: each
-   subcommand carries the full flag set its variant owes, and every
-   unambiguous engine-flag literal is declared exactly once in
-   ``cli.py`` (no drift through copy-pasted ``add_argument`` calls).
+5. the four fuzzing subcommands (fuzz/campaign/sweep/minimize) expose
+   the shared engine flags exclusively through
+   ``repro.cli.add_engine_options``: each subcommand carries the full
+   flag set its variant owes, and every unambiguous engine-flag literal
+   is declared exactly once in ``cli.py`` (no drift through
+   copy-pasted ``add_argument`` calls).
 
 Run from the repository root with ``src`` importable::
 
@@ -49,15 +49,14 @@ _EXTERNAL_FLAGS = {"benchmark-only"}  # pytest-benchmark
 #: subcommands that take the scalar engine-flag set
 _SCALAR_ENGINE_SUBCOMMANDS = ("fuzz", "campaign", "minimize")
 #: engine flags whose ``"--flag"`` literal may appear only once in
-#: cli.py — inside add_engine_options/add_engine_knob_options.
+#: cli.py — inside add_engine_options.
 #: (--arch/--contract/--cpu/--inputs/--entropy/--seed are excluded:
 #: trace/reproduce/replay legitimately re-declare them.)
 _DECLARED_ONCE_FLAGS = (
     "--subsets", "--mode", "--num-test-cases", "--timeout",
     "--analyzer", "--pages", "--prescreen", "--prescreen-safety-rate",
-    "--no-battery-eval", "--no-masked-fusion", "--no-dead-flags",
-    "--interpretive", "--cache", "--cache-entries", "--cache-dir",
-    "--cache-max-bytes", "--cache-compress", "--corpus-dir",
+    "--cache", "--cache-entries", "--cache-dir", "--cache-max-bytes",
+    "--cache-compress", "--corpus-dir",
 )
 
 
@@ -246,20 +245,13 @@ def check_engine_flag_sync() -> List[str]:
     import argparse
 
     try:
-        from repro.cli import (
-            add_engine_knob_options,
-            add_engine_options,
-            build_parser,
-        )
+        from repro.cli import add_engine_options, build_parser
     except Exception as error:  # pragma: no cover - import failure
         return [f"could not load the CLI parser: {error!r}"]
 
     reference = argparse.ArgumentParser(add_help=False)
     add_engine_options(reference)
     engine_flags = _long_flags(reference)
-    knob_reference = argparse.ArgumentParser(add_help=False)
-    add_engine_knob_options(knob_reference)
-    knob_flags = _long_flags(knob_reference)
 
     subparsers: Dict[str, argparse.ArgumentParser] = {}
     for action in build_parser()._subparsers._group_actions:
@@ -278,15 +270,6 @@ def check_engine_flag_sync() -> List[str]:
                 f"cli.py: {name} lacks engine flag(s) "
                 f"{', '.join(sorted(missing))}"
             )
-    if "replay" in subparsers:
-        missing = knob_flags - _long_flags(subparsers["replay"])
-        if missing:
-            errors.append(
-                "cli.py: replay lacks engine knob(s) "
-                f"{', '.join(sorted(missing))}"
-            )
-    else:
-        errors.append("cli.py: subcommand 'replay' is missing")
 
     import repro.cli
 
