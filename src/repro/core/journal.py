@@ -2,11 +2,10 @@
 
 A journal is a directory holding one ``spec.json`` describing the
 campaign (or sweep) it belongs to, plus one record file per completed
-shard.  Every file is published with the same
-``mkstemp`` -> write -> ``os.replace`` discipline as
-``PersistentTraceCache`` and ``repro.corpus``: a reader never observes
-a half-written record, and a worker killed mid-write leaves at worst a
-stale temp file, never a torn journal entry.
+shard.  Every file is published through :class:`repro.storage
+.RecordStore`: a reader never observes a half-written record, and a
+worker killed mid-write leaves at worst a stale temp file, never a torn
+journal entry.
 
 The spec file pins a digest of everything that determines shard
 results (resolved shard count, mode, and the result-determining
@@ -25,14 +24,13 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import pickle
-import tempfile
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import faults
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import FuzzingReport
+from repro.storage import RecordStore
 
 logger = logging.getLogger(__name__)
 
@@ -113,6 +111,7 @@ class CampaignJournal:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
+        self._store = RecordStore(directory, _RECORD_SUFFIX)
         self.digest: Optional[str] = None
         #: record publications that failed with an ``OSError`` and were
         #: skipped — the shard result stays in memory and the campaign
@@ -132,15 +131,15 @@ class CampaignJournal:
         campaign.
         """
         digest = spec_digest(payload)
-        spec_path = os.path.join(self.directory, SPEC_FILE)
-        if os.path.exists(spec_path):
-            try:
-                with open(spec_path, "r", encoding="utf-8") as handle:
-                    existing = json.load(handle)
-            except (OSError, ValueError) as error:
-                raise JournalMismatch(
-                    f"journal spec {spec_path} is unreadable: {error}"
-                )
+        spec_path = self._store.path(SPEC_FILE)
+        try:
+            blob = self._store.read(SPEC_FILE)
+            existing = None if blob is None else json.loads(blob)
+        except (OSError, ValueError) as error:
+            raise JournalMismatch(
+                f"journal spec {spec_path} is unreadable: {error}"
+            )
+        if existing is not None:
             if existing.get("schema") != SCHEMA_VERSION:
                 raise JournalMismatch(
                     f"journal {self.directory} uses schema "
@@ -158,8 +157,7 @@ class CampaignJournal:
                 "(was this campaign ever started with a journal?)"
             )
         else:
-            os.makedirs(self.directory, exist_ok=True)
-            self._publish(
+            self._store.publish(
                 SPEC_FILE,
                 json.dumps(
                     {
@@ -203,7 +201,7 @@ class CampaignJournal:
         }
         try:
             faults.inject_oserror("journal.publish")
-            self._publish(
+            self._store.publish(
                 self.record_name(cell_index, shard_index),
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
             )
@@ -226,22 +224,13 @@ class CampaignJournal:
         if self.digest is None:
             raise RuntimeError("journal must be opened before reading")
         out: Dict[Tuple[int, int], FuzzingReport] = {}
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return out
-        for name in names:
-            if not (
-                name.startswith(_RECORD_PREFIX)
-                and name.endswith(_RECORD_SUFFIX)
-            ):
+        for name in self._store.names():
+            if not name.startswith(_RECORD_PREFIX):
                 continue
-            path = os.path.join(self.directory, name)
             try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
+                payload = pickle.loads(self._store.read(name))
             except Exception:
-                continue  # torn or foreign: re-run that shard
+                continue  # torn, foreign or gone: re-run that shard
             if not isinstance(payload, dict):
                 continue
             if payload.get("schema") != SCHEMA_VERSION:
@@ -259,22 +248,3 @@ class CampaignJournal:
                 continue  # renamed/copied record: coordinates lie
             out[(cell, shard)] = report
         return out
-
-    # -- plumbing -----------------------------------------------------
-
-    def _publish(self, name: str, blob: bytes) -> None:
-        """Atomic write: readers see the old file or the new one."""
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=".journal-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            os.chmod(temp_path, 0o644)
-            os.replace(temp_path, os.path.join(self.directory, name))
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise

@@ -86,7 +86,7 @@ from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import Fuzzer, FuzzingReport
 from repro.core.journal import CampaignJournal, sweep_payload
 from repro.core.patterns import PatternCoverage
-from repro.core.trace_cache import PersistentTraceCache, program_fingerprint
+from repro.core.trace_cache import PersistentTraceCache
 from repro.uarch.config import preset_names
 
 logger = logging.getLogger(__name__)
@@ -359,8 +359,12 @@ class _UnitScheduler:
         )
 
         def start() -> None:
-            faults.inject_oserror("sweep.spawn")
-            process.start()
+            try:
+                faults.inject_oserror("sweep.spawn")
+                process.start()
+            except OSError as error:
+                logger.warning("spawning a pool worker failed (%s)", error)
+                raise
 
         # fork can fail transiently (EAGAIN under process pressure);
         # retry with deterministic backoff before failing the run
@@ -604,42 +608,17 @@ class SweepCellResult:
         )
 
     def deterministic_report(self) -> Dict[str, object]:
-        """The cell outcome minus anything scheduling-dependent.
-
-        Wall-clock times, observed concurrency and cache counters are
-        excluded, so for budget-bound full-mode sweeps this dict is
-        identical across runs, worker counts, and cache on/off.
-        """
-        merged = self.campaign.merged
-        violation = merged.violation
-        report: Dict[str, object] = {
+        """The cell's coordinates and seed plus the campaign's
+        :meth:`~repro.core.campaign.CampaignReport.deterministic_report`:
+        for budget-bound full-mode sweeps, identical across runs, worker
+        counts, and cache on/off."""
+        return {
             "arch": self.cell.arch,
             "contract": self.cell.contract,
             "cpu": self.cell.cpu,
             "seed": self.seed,
-            "shards": self.campaign.shards,
-            "mode": self.campaign.mode,
-            "test_cases": merged.test_cases,
-            "inputs_tested": merged.inputs_tested,
-            "prescreened_inert": merged.prescreened_inert,
-            "patterns_covered": (
-                len(merged.coverage.covered) if merged.coverage else 0
-            ),
-            "found": self.found,
-            "winning_shard": self.campaign.winning_shard,
-            "violation": None,
+            **self.campaign.deterministic_report(),
         }
-        if violation is not None:
-            report["violation"] = {
-                "classification": violation.classification,
-                "program_fingerprint": program_fingerprint(
-                    violation.program, self.cell.arch
-                ),
-                "positions": [violation.position_a, violation.position_b],
-                "test_cases_until_found": violation.test_cases_until_found,
-                "inputs_until_found": violation.inputs_until_found,
-            }
-        return report
 
     def timing_report(self) -> Dict[str, object]:
         """The scheduling-dependent counters, reported separately."""

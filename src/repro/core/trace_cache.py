@@ -23,9 +23,9 @@ runs). The full key/eviction/persistence contract is documented in
 - the disk tier stores one record per ``(program fingerprint, contract
   key)``: every input's entry of one program under one contract, so a
   collection reads one file and publishes one file;
-- the disk tier is crash-safe: a record is written to a temporary file
-  and published with an atomic ``os.replace``, so concurrent shard
-  writers can never expose a torn record;
+- the disk tier is crash-safe: records are published through
+  :class:`repro.storage.RecordStore`, so concurrent shard writers can
+  never expose a torn record;
 - the disk tier is append-only by default, but a size bound
   (``max_bytes``) arms a garbage collector that evicts
   least-recently-used records (by file mtime; each file read refreshes
@@ -54,8 +54,6 @@ import hashlib
 import logging
 import os
 import pickle
-import tempfile
-import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -67,6 +65,7 @@ from repro.isa.instruction import TestCaseProgram
 from repro.emulator.compiled import program_digest
 from repro.emulator.state import InputData
 from repro.contracts.contract import Contract
+from repro.storage import RecordStore
 from repro.traces import CTrace, ExecutionLog
 
 #: (program fingerprint, input seed, input content hash, contract key)
@@ -265,11 +264,10 @@ class PersistentTraceCache(ContractTraceCache):
     record is never memoized, so a sibling's later publication stays
     visible. :meth:`publish` groups a collection's emulated entries by
     record, re-reads the record file (not the memo) and, if the record
-    gains entries, writes the merged record: pickled to a ``tempfile``
-    in the target directory and moved into place with ``os.replace``,
-    so a reader sees a complete record or none. Two writers that merge
-    the same record at once each publish a complete record and the last
-    one wins, dropping the other's new entries: that costs a later
+    gains entries, publishes the merged record atomically, so a reader
+    sees a complete record or none. Two writers that merge the same
+    record at once each publish a complete record and the last one
+    wins, dropping the other's new entries: that costs a later
     re-emulation, never a wrong or torn trace.
 
     The disk tier is append-only by default (no cross-process eviction
@@ -280,10 +278,10 @@ class PersistentTraceCache(ContractTraceCache):
     directory and evicts least-recently-used records — by file mtime,
     which every file read refreshes — until the footprint is back under
     the bound (with headroom, so a hot writer does not rescan on every
-    publication). Eviction is a plain ``unlink`` under the existing
-    atomic-publication discipline: a concurrent reader of an evicted
-    record sees misses and re-emulates, never a torn read. Torn files
-    are treated as misses and deleted best-effort; a record of another
+    publication). Eviction is a plain ``unlink`` of a published
+    record: a concurrent reader of an evicted record sees misses and
+    re-emulates, never a torn read. Torn files are treated as misses
+    and deleted best-effort; a record of another
     :attr:`FORMAT` or another record key (a digest collision) reads as
     empty.
     """
@@ -345,6 +343,7 @@ class PersistentTraceCache(ContractTraceCache):
         self._consecutive_write_failures = 0
         self._records: "OrderedDict[RecordKey, Record]" = OrderedDict()
         os.makedirs(self.cache_dir, exist_ok=True)
+        self._store = RecordStore(self.cache_dir, ".trace", fanout=True)
 
     @property
     def disk_degraded(self) -> bool:
@@ -354,11 +353,12 @@ class PersistentTraceCache(ContractTraceCache):
 
     def _path(self, key: CacheKey) -> str:
         """Path of the record file that holds ``key``'s entry."""
-        return self._record_path((key[0], key[3]))
+        return self._store.path(self._record_name((key[0], key[3])))
 
-    def _record_path(self, record_key: RecordKey) -> str:
+    @staticmethod
+    def _record_name(record_key: RecordKey) -> str:
         digest = key_digest(record_key)
-        return os.path.join(self.cache_dir, digest[:2], digest + ".trace")
+        return os.path.join(digest[:2], digest + ".trace")
 
     def get(self, key: CacheKey) -> Optional[TraceEntry]:
         entry = self._entries.get(key)
@@ -426,12 +426,10 @@ class PersistentTraceCache(ContractTraceCache):
         empty. Raises ``OSError`` when the file exists but cannot be
         read.
         """
-        path = self._record_path(record_key)
-        try:
-            faults.inject_oserror("trace_cache.read")
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
+        name = self._record_name(record_key)
+        faults.inject_oserror("trace_cache.read")
+        blob = self._store.read(name)
+        if blob is None:
             return None, 0
         try:
             payload = blob
@@ -443,13 +441,13 @@ class PersistentTraceCache(ContractTraceCache):
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, TypeError, ValueError, zlib.error):
             # torn or incompatible record: a miss, not an error
-            self._discard(path)
+            self._store.discard(name)
             return None, 0
         if self.max_bytes is not None:
             # refresh the mtime once per file read, so the GC's LRU
             # order tracks use, not just publication
             try:
-                os.utime(path)
+                os.utime(self._store.path(name))
             except OSError:
                 pass
         if version != self.FORMAT or stored_key != record_key:
@@ -495,10 +493,10 @@ class PersistentTraceCache(ContractTraceCache):
             return  # unpicklable entry: a skipped memoization
         if self.compress:
             blob = self.COMPRESSED_MAGIC + zlib.compress(blob)
-        path = self._record_path(record_key)
+        name = self._record_name(record_key)
         try:
             size = self.write_retry.call(
-                lambda: self._publish_blob(path, blob)
+                lambda: self._publish_blob(name, blob)
             )
         except OSError as error:
             # ENOSPC/EACCES after retries: count it and keep fuzzing —
@@ -519,24 +517,13 @@ class PersistentTraceCache(ContractTraceCache):
         if self.max_bytes is not None:
             self._account_write(size - stored_size)
 
-    def _publish_blob(self, path: str, blob: bytes) -> int:
+    def _publish_blob(self, name: str, blob: bytes) -> int:
         """One atomic-publish attempt; raises ``OSError`` on failure."""
         faults.inject_oserror("trace_cache.write")
         # a torn-write fault publishes a truncated blob: readers must
         # treat it as a miss and discard it, never crash on it
         blob = faults.corrupt("trace_cache.torn", blob)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        descriptor, tmp_path = tempfile.mkstemp(
-            prefix=".tmp-", dir=directory
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_path, path)  # atomic publication
-        except BaseException:
-            self._discard(tmp_path)
-            raise
+        self._store.publish(name, blob)
         return len(blob)
 
     def _account_write(self, size: int) -> None:
@@ -553,30 +540,18 @@ class PersistentTraceCache(ContractTraceCache):
             self.gc()
 
     def _scan_disk(self) -> Tuple[List[Tuple[float, int, str]], int]:
-        """(mtime, size, path) of every stored file, plus total bytes.
+        """(mtime, size, name) of every stored record, plus total bytes.
         Also sweeps ``.tmp-`` orphans past the in-flight grace age."""
-        now = time.time()
+        self._store.sweep_orphans(self.TMP_GRACE_SECONDS)
         entries: List[Tuple[float, int, str]] = []
         total = 0
-        for root, _dirs, files in os.walk(self.cache_dir):
-            for name in files:
-                path = os.path.join(root, name)
-                if name.startswith(".tmp-"):
-                    try:
-                        age = now - os.path.getmtime(path)
-                    except OSError:
-                        continue
-                    if age > self.TMP_GRACE_SECONDS:
-                        self._discard(path)  # orphan of a killed writer
-                    continue
-                if not name.endswith(".trace"):
-                    continue
-                try:
-                    status = os.stat(path)
-                except OSError:
-                    continue  # evicted by a concurrent GC mid-walk
-                entries.append((status.st_mtime, status.st_size, path))
-                total += status.st_size
+        for name in self._store.names():
+            try:
+                status = os.stat(self._store.path(name))
+            except OSError:
+                continue  # evicted by a concurrent GC mid-scan
+            entries.append((status.st_mtime, status.st_size, name))
+            total += status.st_size
         return entries, total
 
     def gc(self, max_bytes: Optional[int] = None) -> Tuple[int, int]:
@@ -606,10 +581,10 @@ class PersistentTraceCache(ContractTraceCache):
         if limit is not None and total > limit:
             target = int(limit * self.GC_TARGET_FRACTION)
             entries.sort()  # oldest mtime first == least recently used
-            for _mtime, size, path in entries:
+            for _mtime, size, name in entries:
                 if total <= target:
                     break
-                self._discard(path)
+                self._store.discard(name)
                 total -= size
                 evicted += 1
                 freed += size
@@ -630,32 +605,19 @@ class PersistentTraceCache(ContractTraceCache):
         after :meth:`gc` (callers avoid a second directory walk)."""
         return self._disk_bytes
 
-    @staticmethod
-    def _discard(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
     def clear_disk(self) -> None:
         """Delete every stored record (format 1 files too) and the record
         memo, including temp files orphaned by killed writers (leaves
         the directory tree in place)."""
-        for root, _dirs, files in os.walk(self.cache_dir):
-            for name in files:
-                if name.endswith(".trace") or name.startswith(".tmp-"):
-                    self._discard(os.path.join(root, name))
+        for name in self._store.names():
+            self._store.discard(name)
+        self._store.sweep_orphans()
         self._disk_bytes = 0 if self.max_bytes is not None else None
         self._records.clear()
 
     def disk_entries(self) -> int:
         """Number of record files currently stored on disk."""
-        return sum(
-            1
-            for _root, _dirs, files in os.walk(self.cache_dir)
-            for name in files
-            if name.endswith(".trace")
-        )
+        return len(self._store.names())
 
 
 def make_trace_cache(

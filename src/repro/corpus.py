@@ -14,15 +14,14 @@ corpus into a fast deterministic regression gate for detection power
 (the spirit of sca-fuzzer-arm64's bats suite of pinned leak
 measurements).
 
-Storage discipline mirrors :class:`~repro.core.trace_cache
-.PersistentTraceCache`:
+Storage:
 
 - one record per file, named by a prefix of the violation digest — so a
   duplicate find (same evidence) lands on the same file name and
   deduplicates structurally;
-- records are written to a temp file and published with an atomic
-  ``os.replace``, so concurrent shard workers and sweep cells can
-  append to one corpus directory without ever exposing a torn record;
+- records are published through :class:`repro.storage.RecordStore`,
+  so concurrent shard workers and sweep cells can append to one corpus
+  directory without ever exposing a torn record;
 - every record carries a schema version (:data:`FORMAT`); a record
   with an unknown version, torn bytes, or missing keys degrades to a
   SKIP verdict at load/replay time — never to a crash of the gate.
@@ -52,17 +51,21 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import os
-import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro import faults
 from repro.emulator.errors import EmulationError
 from repro.emulator.state import InputData
 from repro.core.config import FuzzerConfig
 from repro.core.violation import Violation
+from repro.storage import RecordStore
+
+logger = logging.getLogger(__name__)
 
 #: schema version of stored records; bump on layout changes. A record
 #: with any other version is SKIPped by the loader, never guessed at.
@@ -425,7 +428,7 @@ class CounterexampleCorpus:
     """A directory of replayable counterexample records.
 
     Concurrency-safe by construction: records are published atomically
-    (temp file + ``os.replace``) and file names derive from the
+    (:class:`~repro.storage.RecordStore`) and file names derive from the
     violation digest, so concurrent writers of the *same* evidence
     collapse onto one file and writers of different evidence never
     collide. Unreadable or foreign-version files degrade to SKIP
@@ -439,7 +442,7 @@ class CounterexampleCorpus:
 
     def __init__(self, directory: str):
         self.directory = os.fspath(directory)
-        os.makedirs(self.directory, exist_ok=True)
+        self._store = RecordStore(self.directory, ".json")
 
     # -- persistence ------------------------------------------------------
 
@@ -448,34 +451,27 @@ class CounterexampleCorpus:
             record.program_text.encode("utf-8")
         ).hexdigest()
         prefix = "" if not record.name else _slug(record.name) + "-"
-        return os.path.join(
-            self.directory,
-            f"{prefix}{digest[: self.NAME_DIGEST_CHARS]}.json",
+        return self._store.path(
+            f"{prefix}{digest[: self.NAME_DIGEST_CHARS]}.json"
         )
 
     def add(self, record: CorpusRecord) -> Optional[str]:
-        """Persist one record; returns its path, or ``None`` when an
-        entry with the same digest already exists (dedup)."""
+        """Persist one record; returns its path, or ``None`` for a
+        duplicate digest or a failed publish (logged as one ``WARNING``:
+        losing the record must not lose the run that found it)."""
         path = self.path_for(record)
         if os.path.exists(path):
             return None
         blob = (
             json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n"
         ).encode("utf-8")
-        descriptor, tmp_path = tempfile.mkstemp(
-            prefix=".tmp-", dir=self.directory
-        )
         try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            os.chmod(tmp_path, 0o644)  # mkstemp defaults to 0600
-            os.replace(tmp_path, path)  # atomic publication
-        except Exception:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+            faults.inject_oserror("corpus.publish")
+            self._store.publish(os.path.basename(path), blob)
+        except OSError as error:
+            logger.warning("corpus record %s not persisted (%s)",
+                           path, error)
+            return None
         return path
 
     def add_violation(
@@ -497,24 +493,17 @@ class CounterexampleCorpus:
 
     def paths(self) -> List[str]:
         """Record files, sorted by name (deterministic replay order)."""
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return []
-        return [
-            os.path.join(self.directory, name)
-            for name in names
-            if name.endswith(".json") and not name.startswith(".")
-        ]
+        return [self._store.path(name) for name in self._store.names()]
 
     def load(self) -> List[CorpusEntry]:
         """Load every record; unreadable ones become SKIP entries."""
         entries: List[CorpusEntry] = []
-        for path in self.paths():
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                record = CorpusRecord.from_json(payload)
+        for name in self._store.names():
+            path = self._store.path(name)
+            try:  # a record deleted since the listing reads as None
+                record = CorpusRecord.from_json(
+                    json.loads(self._store.read(name))
+                )
             except (OSError, ValueError, KeyError, TypeError,
                     AttributeError) as error:
                 entries.append(
@@ -525,7 +514,7 @@ class CounterexampleCorpus:
         return entries
 
     def __len__(self) -> int:
-        return len(self.paths())
+        return len(self._store.names())
 
     # -- replay -----------------------------------------------------------
 

@@ -16,6 +16,7 @@ trace_cache.write    ``OSError`` on record publication (counted no-persist)
 trace_cache.torn     the published record blob is truncated (torn record)
 trace_cache.gc       ``OSError`` during the size-bounded GC pass
 journal.publish      ``OSError`` publishing a shard checkpoint record
+corpus.publish       ``OSError`` publishing a counterexample record
 sweep.unit           a pool worker dies (``os._exit``) mid-unit (campaign
                      or sweep; inline runs never fire it)
 sweep.spawn          ``OSError`` spawning a pool worker process
@@ -63,6 +64,7 @@ KNOWN_SITES = (
     "trace_cache.torn",
     "trace_cache.gc",
     "journal.publish",
+    "corpus.publish",
     "sweep.unit",
     "sweep.spawn",
     "service.event",

@@ -1,28 +1,31 @@
 """Crash-safe service state: the job table as a directory of JSON files.
 
 A :class:`ServiceState` persists one file per job under
-``<state_dir>/jobs/``, published with the same ``mkstemp`` ->
-write -> ``os.replace`` discipline as the campaign journal: a reader
-(including a restarted ``serve`` process) never observes a half-written
-snapshot, and a service killed mid-save leaves at worst a stale temp
-file, never a torn job record.
+``<state_dir>/jobs/``, published through :class:`repro.storage
+.RecordStore`: a reader (including a restarted ``serve`` process) never
+observes a half-written snapshot, and a service killed mid-save leaves
+at worst a stale temp file, never a torn job record.
 
 Persistence is best-effort by design — the service must keep running on
 a full or read-only state disk. Every failed publication is counted in
-:attr:`ServiceState.write_errors` and the in-memory job table stays
-authoritative; only a *later* restart loses the unsaved updates, which
-the journal-backed resume path then reconciles. The ``service.event``
-fault site injects exactly this failure for the chaos suite.
+:attr:`ServiceState.write_errors` and logged as one ``WARNING``, and the
+in-memory job table stays authoritative; only a *later* restart loses
+the unsaved updates, which the journal-backed resume path then
+reconciles. The ``service.event`` fault site injects exactly this
+failure for the chaos suite.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
-import tempfile
 from typing import Any, Dict, List, Mapping
 
 from repro import faults
+from repro.storage import RecordStore
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 _JOBS_SUBDIR = "jobs"
@@ -35,16 +38,18 @@ class ServiceState:
         self.directory = directory
         self.jobs_dir = os.path.join(directory, _JOBS_SUBDIR)
         os.makedirs(self.jobs_dir, exist_ok=True)
+        self._store = RecordStore(self.jobs_dir, ".json")
         #: snapshot publications that failed with an ``OSError`` and
         #: were skipped — the in-memory job table stays authoritative
         self.write_errors = 0
 
     def job_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, f"{job_id}.json")
+        return self._store.path(f"{job_id}.json")
 
     def save_job(self, payload: Mapping[str, Any]) -> bool:
         """Atomically publish one job snapshot; returns False when the
         write failed with an ``OSError`` and was skipped."""
+        job_id = str(payload["job_id"])
         blob = json.dumps(
             dict(payload, schema=SCHEMA_VERSION),
             sort_keys=True,
@@ -52,9 +57,11 @@ class ServiceState:
         ).encode("utf-8")
         try:
             faults.inject_oserror("service.event")
-            self._publish(self.job_path(str(payload["job_id"])), blob)
-        except OSError:
+            self._store.publish(f"{job_id}.json", blob)
+        except OSError as error:
             self.write_errors += 1
+            logger.warning("service state %s: snapshot of job %s skipped "
+                           "(%s)", self.jobs_dir, job_id, error)
             return False
         return True
 
@@ -66,19 +73,11 @@ class ServiceState:
         campaign journal (if any) is untouched.
         """
         out: List[Dict[str, Any]] = []
-        try:
-            names = sorted(os.listdir(self.jobs_dir))
-        except OSError:
-            return out
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.jobs_dir, name)
+        for name in self._store.names():
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue  # torn or unreadable: skip
+                payload = json.loads(self._store.read(name))
+            except (OSError, TypeError, ValueError):
+                continue  # torn, unreadable or gone (read as None): skip
             if not isinstance(payload, dict):
                 continue
             if payload.get("schema") != SCHEMA_VERSION:
@@ -87,22 +86,6 @@ class ServiceState:
                 continue  # renamed/copied snapshot: identity lies
             out.append(payload)
         return sorted(out, key=lambda p: str(p["job_id"]))
-
-    def _publish(self, path: str, blob: bytes) -> None:
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=self.jobs_dir, prefix=".state-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            os.chmod(temp_path, 0o644)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
 
 
 __all__ = ["SCHEMA_VERSION", "ServiceState"]

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import Fuzzer, TestingPipeline
 from repro.core.input_gen import InputGenerator
@@ -266,6 +267,51 @@ class TestPersistenceHooks:
         assert record.provenance["found_by"] == "minimize"
         assert record.confirmed is False  # shrunk at confirm=False
         assert corpus.replay_entry(entries[0]).verdict == PASS
+
+
+class TestFailedPublish:
+    """A corpus that cannot be written costs the record, never the run
+    that found the violation: one WARNING, and the result stands."""
+
+    @staticmethod
+    def corpus_warnings(caplog):
+        warnings = [
+            record for record in caplog.records
+            if record.name == "repro.corpus"
+        ]
+        assert [record.levelname for record in warnings] == ["WARNING"]
+        return warnings
+
+    def test_fuzzer_run_still_reports_its_violation(self, tmp_path, caplog):
+        config = FuzzerConfig(
+            arch="x86_64",
+            contract_name="CT-SEQ",
+            cpu_preset="skylake-v4-patched",
+            num_test_cases=120,
+            inputs_per_test_case=25,
+            seed=7,
+            corpus_dir=str(tmp_path),
+        )
+        with caplog.at_level("WARNING", logger="repro.corpus"):
+            with faults.injected(faults.FaultPlan.parse("corpus.publish=1")):
+                report = Fuzzer(config).run()
+        assert report.found
+        assert len(CounterexampleCorpus(str(tmp_path))) == 0
+        self.corpus_warnings(caplog)
+
+    def test_minimize_still_returns_its_result(self, tmp_path, caplog):
+        config, violation = detect("spectre-v1")
+        pipeline = TestingPipeline(
+            replace(config, corpus_dir=str(tmp_path))
+        )
+        with caplog.at_level("WARNING", logger="repro.corpus"):
+            with faults.injected(faults.FaultPlan.parse("corpus.publish=1")):
+                result = Postprocessor(pipeline).minimize(
+                    violation.program, list(violation.input_sequence)
+                )
+        assert result.inputs
+        assert len(CounterexampleCorpus(str(tmp_path))) == 0
+        self.corpus_warnings(caplog)
 
 
 def take_paths(reference_path, paths):

@@ -428,6 +428,23 @@ def test_chaos_campaign_survives_worker_death(arch, tmp_path):
     assert faulty == campaign_digest_in_child(arch)
 
 
+def test_a_failed_worker_spawn_is_retried_and_logged(caplog):
+    """A spawn attempt that fails is logged as one WARNING and retried
+    under the pool's backoff; the campaign reports the fault-free
+    digest."""
+    clean = api.run_campaign(quick_options(), workers=2, shards=2)
+    with caplog.at_level("WARNING", logger="repro.core.sweep"):
+        with faults.injected(plan("sweep.spawn=1:1")):
+            faulty = api.run_campaign(quick_options(), workers=2, shards=2)
+    warnings = [
+        record for record in caplog.records
+        if record.name == "repro.core.sweep"
+    ]
+    assert [record.levelname for record in warnings] == ["WARNING"]
+    assert "injected fault at sweep.spawn" in warnings[0].getMessage()
+    assert faulty.report_digest() == clean.report_digest()
+
+
 # -- job lifecycle: cancel, deadline, backpressure ---------------------
 
 
@@ -903,6 +920,26 @@ class TestStateRecovery:
             assert service.state.write_errors > 0
         finally:
             service.shutdown()
+
+    def test_a_skipped_snapshot_logs_a_warning(self, tmp_path, caplog):
+        service = CampaignService(state_dir=str(tmp_path / "state"))
+        try:
+            with caplog.at_level("WARNING", logger="repro.service.state"):
+                with faults.injected(plan("service.event=1:1")):
+                    job_id = service.submit(
+                        JobSpec(kind="fuzz", options=quick_options())
+                    )
+                    _events, status = _drain(service, job_id)
+            assert status["state"] == "done"
+            assert service.state.write_errors == 1
+        finally:
+            service.shutdown()
+        warnings = [
+            record for record in caplog.records
+            if record.name == "repro.service.state"
+        ]
+        assert [record.levelname for record in warnings] == ["WARNING"]
+        assert job_id in warnings[0].getMessage()
 
     def test_torn_snapshots_are_skipped(self, tmp_path):
         state_dir = str(tmp_path / "state")

@@ -9,14 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import faults
+from repro import faults, storage
 from repro.emulator.errors import EmulationError
 from repro.isa.assembler import parse_program
 from repro.emulator.state import InputData
 from repro.contracts import get_contract
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import TestingPipeline
-from repro.core import trace_cache
 from repro.core.input_gen import InputGenerator
 from repro.core.trace_cache import (
     ContractTraceCache,
@@ -296,7 +295,7 @@ class TestRecordLayout:
         real_open, real_utime = open, os.utime
         opened, touched = [], []
         monkeypatch.setattr(
-            trace_cache, "open",
+            storage, "open",
             lambda path, *args: opened.append(path) or real_open(path, *args),
             raising=False,
         )
