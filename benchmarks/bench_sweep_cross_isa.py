@@ -24,7 +24,7 @@ byte-identical deterministic cell report — the reproducibility claim of
 The grid runs on a 2-worker pool at 2 pinned shards per cell; the
 deterministic cell reports — and therefore every paper-shaped
 assertion below — are identical for any pool size. The recorded JSON
-keeps the grid shape and the cache GC statistics next to the
+keeps the grid shape and the cache statistics next to the
 measurements so the artifacts track them over time.
 """
 
@@ -131,8 +131,7 @@ def test_sweep_cross_isa(benchmark, scale, tmp_path):
             "timing": {
                 r.cell.label: r.timing_report() for r in report.results
             },
-            # cache GC statistics, tracked over time by the CI
-            # artifacts
+            # cache statistics, tracked over time by the CI artifacts
             "trace_cache": report_json["trace_cache"],
             "wall_seconds": report.wall_seconds,
             "trace_cache_disk_hits": report.trace_cache_disk_hits,

@@ -49,10 +49,11 @@ __all__ = [
 
 
 #: fields older releases wrote (``serve --state-dir`` snapshots keep
-#: them): engine knobs that never changed a result, so ``from_dict``
-#: drops them
+#: them): engine and trace-cache knobs that never changed a result, so
+#: ``from_dict`` drops them
 _RETIRED_FIELDS = frozenset(
-    {"battery_eval", "masked_fusion", "dead_flags", "compile_programs"}
+    {"battery_eval", "masked_fusion", "dead_flags", "compile_programs",
+     "cache_entries", "cache_max_bytes", "cache_compress"}
 )
 
 
@@ -80,24 +81,11 @@ class EngineOptions:
     seed: int = 0
     # contract-trace cache / counterexample corpus plumbing
     cache: bool = False
-    cache_entries: int = 65536
     cache_dir: Optional[str] = None
-    cache_max_bytes: Optional[int] = None
-    cache_compress: bool = False
     corpus_dir: Optional[str] = None
 
     def to_fuzzer_config(self) -> FuzzerConfig:
         """The single options-bag -> FuzzerConfig mapping."""
-        if self.cache_max_bytes is not None and not self.cache_dir:
-            raise ValueError(
-                "--cache-max-bytes bounds the persistent disk tier and "
-                "requires --cache-dir"
-            )
-        if self.cache_compress and not self.cache_dir:
-            raise ValueError(
-                "--cache-compress compresses the persistent disk tier and "
-                "requires --cache-dir"
-            )
         return FuzzerConfig(
             arch=self.arch,
             instruction_subsets=tuple(self.subsets.split("+")),
@@ -114,10 +102,7 @@ class EngineOptions:
             seed=self.seed,
             generator=GeneratorConfig(sandbox_pages=self.sandbox_pages),
             contract_trace_cache=self.cache,
-            trace_cache_entries=self.cache_entries,
             trace_cache_dir=self.cache_dir,
-            trace_cache_max_bytes=self.cache_max_bytes,
-            trace_cache_compress=self.cache_compress,
             corpus_dir=self.corpus_dir,
         )
 
@@ -144,10 +129,7 @@ class EngineOptions:
             prescreen_safety_rate=args.prescreen_safety_rate,
             seed=args.seed,
             cache=args.cache,
-            cache_entries=args.cache_entries,
             cache_dir=args.cache_dir,
-            cache_max_bytes=args.cache_max_bytes,
-            cache_compress=args.cache_compress,
             corpus_dir=args.corpus_dir,
         )
         if not axes:

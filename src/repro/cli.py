@@ -25,12 +25,11 @@ plumbed through the campaign workers, so sharded campaigns fuzz the
 selected backend too. All fuzzing subcommands accept the
 contract-trace-cache knobs: ``--cache`` memoizes contract traces across
 collections (pure-function results keyed by program/input/contract, see
-:mod:`repro.core.trace_cache`), ``--cache-entries`` bounds the LRU,
-``--cache-dir`` selects the persistent cross-process tier and
-``--cache-max-bytes`` bounds its disk footprint (LRU garbage
-collection). ``campaign`` and ``sweep`` run their shards on one pool
-of ``--workers`` processes; for budget-bound full-mode runs the pool
-size never changes a deterministic report, only ``--shards`` does.
+:mod:`repro.core.trace_cache`) and ``--cache-dir`` selects the
+persistent cross-process tier. ``campaign`` and ``sweep`` run their
+shards on one pool of ``--workers`` processes; for budget-bound
+full-mode runs the pool size never changes a deterministic report, only
+``--shards`` does.
 
 All fuzzing subcommands also accept ``--corpus-dir``: every confirmed
 violation (and every minimized counterexample) is persisted into the
@@ -139,20 +138,10 @@ def add_engine_options(
                         + (" the per-cell seeds derive from" if axes else ""))
     parser.add_argument("--cache", action="store_true",
                         help="memoize contract traces across collections")
-    parser.add_argument("--cache-entries", type=_positive_int, default=65536,
-                        help="LRU capacity of the contract-trace cache")
     parser.add_argument("--cache-dir", default=None,
                         help="directory of the persistent cross-process "
                         "trace cache (implies --cache); shared by campaign "
                         "shard workers, sweep cells and later runs")
-    parser.add_argument("--cache-max-bytes", type=_positive_int, default=None,
-                        help="disk-footprint bound of the persistent trace "
-                        "cache; least-recently-used records are garbage-"
-                        "collected once the bound is exceeded")
-    parser.add_argument("--cache-compress", action="store_true",
-                        help="zlib-compress persistent trace-cache records "
-                        "(reads remain transparent to uncompressed "
-                        "records; compressed sizes feed the GC accounting)")
     parser.add_argument("--corpus-dir", default=None,
                         help="persist every confirmed violation (and every "
                         "minimized counterexample) into this directory as a "
@@ -177,18 +166,6 @@ def _add_journal_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_options(
-    args: argparse.Namespace, axes: bool = False
-) -> api.EngineOptions:
-    """Parsed namespace -> options bag, with CLI-grade error rendering."""
-    try:
-        options = api.EngineOptions.from_args(args, axes=axes)
-        options.to_fuzzer_config()  # validate eagerly
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return options
-
-
 def _journal_selection(args: argparse.Namespace):
     """Resolve --journal/--resume into (journal_dir, resume)."""
     if args.journal and args.resume:
@@ -203,7 +180,7 @@ def _journal_selection(args: argparse.Namespace):
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run one fuzzing campaign; exit 1 when a violation is found."""
-    report = api.run_fuzz(_engine_options(args))
+    report = api.run_fuzz(api.EngineOptions.from_args(args))
     print(report.summary())
     if report.found:
         print()
@@ -230,7 +207,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     journal_dir, resume = _journal_selection(args)
     try:
         report = api.run_campaign(
-            _engine_options(args),
+            api.EngineOptions.from_args(args),
             workers=args.workers,
             shards=args.shards,
             mode="first-violation" if args.first_violation else "full",
@@ -266,7 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     the full report. Exits 1 when any cell surfaced a violation, like
     ``fuzz``.
     """
-    options = _engine_options(args, axes=True)
+    options = api.EngineOptions.from_args(args, axes=True)
     journal_dir, resume = _journal_selection(args)
     cells = len(args.arch) * len(args.contract) * len(args.cpu)
     print(f"sweeping {cells} cells "
@@ -316,7 +293,7 @@ def run_minimize(args: argparse.Namespace):
     importers keep working with a parsed namespace.
     """
     return api.run_minimize(
-        _engine_options(args), advise_fences=args.advise_fences
+        api.EngineOptions.from_args(args), advise_fences=args.advise_fences
     )
 
 

@@ -155,8 +155,6 @@ def merge_reports(
         merged.contract_emulations += report.contract_emulations
         merged.trace_cache_hits += report.trace_cache_hits
         merged.trace_cache_disk_hits += report.trace_cache_disk_hits
-        merged.trace_cache_gc_evictions += report.trace_cache_gc_evictions
-        merged.trace_cache_gc_bytes += report.trace_cache_gc_bytes
         merged.trace_cache_disk_write_errors += (
             report.trace_cache_disk_write_errors
         )

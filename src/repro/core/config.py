@@ -114,21 +114,10 @@ class FuzzerConfig:
     # collections — nesting revalidation, postprocessor shrinking — can be
     # served from an LRU cache instead of re-emulating the model
     contract_trace_cache: bool = False
-    #: LRU capacity of the trace cache when enabled
-    trace_cache_entries: int = 65536
     #: directory of the persistent cross-process trace cache; setting it
     #: implies caching and shares results between campaign shard workers,
     #: sweep cells with the same (arch, contract) pair, and later runs
     trace_cache_dir: Optional[str] = None
-    #: size bound (bytes) of the persistent tier's disk footprint; when
-    #: set, a garbage collector evicts least-recently-used records (by
-    #: file mtime) whenever the tier outgrows the bound. None keeps the
-    #: historical append-only behavior
-    trace_cache_max_bytes: Optional[int] = None
-    #: zlib-compress the persistent tier's disk records; reads remain
-    #: transparent to uncompressed records, and compressed sizes
-    #: feed the ``trace_cache_max_bytes`` GC accounting
-    trace_cache_compress: bool = False
 
     #: directory of the replayable counterexample corpus (see
     #: repro.corpus): when set, every confirmed violation a fuzzing run

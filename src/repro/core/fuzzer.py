@@ -57,7 +57,6 @@ from repro.core.patterns import (
 from repro.core.trace_cache import (
     CacheKey,
     ContractTraceCache,
-    PersistentTraceCache,
     TraceEntry,
     make_trace_cache,
     program_fingerprint,
@@ -107,11 +106,7 @@ class TestingPipeline:
         )
         if trace_cache is None:
             trace_cache = make_trace_cache(
-                config.contract_trace_cache,
-                config.trace_cache_dir,
-                config.trace_cache_entries,
-                config.trace_cache_max_bytes,
-                config.trace_cache_compress,
+                config.contract_trace_cache, config.trace_cache_dir
             )
         self.trace_cache = trace_cache
         self.contract_emulations = 0
@@ -547,13 +542,7 @@ class FuzzingReport:
     #: subset of the hits served from the persistent on-disk tier, i.e.
     #: traces computed by another process or an earlier run
     trace_cache_disk_hits: int = 0
-    #: disk records (one per program and contract) evicted by this run's
-    #: trace-cache GC passes (only nonzero when ``trace_cache_max_bytes``
-    #: bounds the disk tier)
-    trace_cache_gc_evictions: int = 0
-    #: bytes those GC passes reclaimed
-    trace_cache_gc_bytes: int = 0
-    #: disk-tier publications/GC passes that failed with an ``OSError``
+    #: disk-tier publications that failed with an ``OSError``
     #: (ENOSPC, EACCES, ...) and degraded to counted no-persist instead
     #: of failing the run
     trace_cache_disk_write_errors: int = 0
@@ -781,21 +770,8 @@ class Fuzzer:
         report.contract_emulations = self.pipeline.contract_emulations
         cache = self.pipeline.trace_cache
         if cache is not None:
-            if (
-                isinstance(cache, PersistentTraceCache)
-                and cache.max_bytes is not None
-                and cache.stats.disk_writes > 0
-            ):
-                # leave the shared tier within its bound even when this
-                # run's own writes never tripped the overflow check; a
-                # run that wrote nothing cannot have grown the tier, so
-                # it skips the directory scan (sibling writers and the
-                # sweep runner's finalizing pass cover their own)
-                cache.gc()
             report.trace_cache_hits = cache.stats.hits
             report.trace_cache_disk_hits = cache.stats.disk_hits
-            report.trace_cache_gc_evictions = cache.stats.gc_evicted_entries
-            report.trace_cache_gc_bytes = cache.stats.gc_evicted_bytes
             report.trace_cache_disk_write_errors = (
                 cache.stats.disk_write_errors
             )

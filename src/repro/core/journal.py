@@ -46,10 +46,7 @@ _RECORD_SUFFIX = ".pkl"
 EXCLUDED_CONFIG_FIELDS = frozenset(
     {
         "contract_trace_cache",
-        "trace_cache_entries",
         "trace_cache_dir",
-        "trace_cache_max_bytes",
-        "trace_cache_compress",
         "corpus_dir",
     }
 )

@@ -37,9 +37,7 @@ x86-64 next to DSB/ISB-bounded speculation on AArch64.
   first violation per cell, and observed shard concurrency. When a
   ``cache_dir`` is set, every unit shares one on-disk
   :class:`~repro.core.trace_cache.PersistentTraceCache`, so cells with
-  the same ``(arch, contract)`` pair emulate each trace once; a
-  ``trace_cache_max_bytes`` bound on the base config arms the cache's
-  size-bounded GC, which the runner also finalizes after the grid. A
+  the same ``(arch, contract)`` pair emulate each trace once. A
   ``journal_dir`` checkpoints each completed unit atomically
   (:class:`~repro.core.journal.CampaignJournal`); ``resume=True``
   replays journaled units and dispatches only the missing ones.
@@ -63,6 +61,7 @@ import json
 import logging
 import multiprocessing
 import multiprocessing.connection
+import os
 import signal
 import sys
 import time
@@ -86,7 +85,6 @@ from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import Fuzzer, FuzzingReport
 from repro.core.journal import CampaignJournal, sweep_payload
 from repro.core.patterns import PatternCoverage
-from repro.core.trace_cache import PersistentTraceCache
 from repro.uarch.config import preset_names
 
 logger = logging.getLogger(__name__)
@@ -631,8 +629,6 @@ class SweepCellResult:
             "contract_emulations": merged.contract_emulations,
             "trace_cache_hits": merged.trace_cache_hits,
             "trace_cache_disk_hits": merged.trace_cache_disk_hits,
-            "trace_cache_gc_evictions": merged.trace_cache_gc_evictions,
-            "trace_cache_gc_bytes": merged.trace_cache_gc_bytes,
             "trace_cache_disk_write_errors": (
                 merged.trace_cache_disk_write_errors
             ),
@@ -648,13 +644,6 @@ class SweepReport:
     results: List[SweepCellResult]
     wall_seconds: float
     cache_dir: Optional[str] = None
-    #: disk records / bytes the trace-cache GC evicted across the sweep
-    #: (cells' own passes plus the runner's finalizing pass)
-    trace_cache_gc_evictions: int = 0
-    trace_cache_gc_bytes: int = 0
-    #: disk footprint of the shared cache after the finalizing GC pass
-    #: (``None`` without a cache directory)
-    trace_cache_disk_bytes: Optional[int] = None
 
     @property
     def violations_found(self) -> int:
@@ -740,11 +729,7 @@ class SweepReport:
             },
             "trace_cache": {
                 "disk_hits": self.trace_cache_disk_hits,
-                "gc_evictions": self.trace_cache_gc_evictions,
-                "gc_bytes": self.trace_cache_gc_bytes,
-                "disk_bytes": self.trace_cache_disk_bytes,
                 "disk_write_errors": self.trace_cache_disk_write_errors,
-                "max_bytes": self.spec.base_config.trace_cache_max_bytes,
             },
             "wall_seconds": self.wall_seconds,
             "trace_cache_disk_hits": self.trace_cache_disk_hits,
@@ -789,10 +774,8 @@ class SweepRunner:
     the pool size changes wall clock only: deterministic cell reports
     are byte-identical for every ``workers`` value at a fixed shard
     count. ``cache_dir`` points every unit at one shared persistent
-    trace cache; ``base_config.trace_cache_max_bytes`` bounds that
-    cache's disk footprint, with a finalizing GC pass after the grid.
-    ``schedule`` is accepted for existing callers; the unit pool
-    (``"work-stealing"``) is the only scheduler.
+    trace cache. ``schedule`` is accepted for existing callers; the unit
+    pool (``"work-stealing"``) is the only scheduler.
     """
 
     def __init__(
@@ -849,15 +832,9 @@ class SweepRunner:
         checkpoints survive, so a cancelled journaled sweep resumes
         like a killed one."""
         start = time.perf_counter()
-        cache: Optional[PersistentTraceCache] = None
-        max_bytes = self.spec.base_config.trace_cache_max_bytes
         if self.cache_dir is not None:
             # create eagerly so an empty grid still leaves a valid dir
-            cache = PersistentTraceCache(
-                self.cache_dir,
-                max_bytes=max_bytes,
-                compress=self.spec.base_config.trace_cache_compress,
-            )
+            os.makedirs(self.cache_dir, exist_ok=True)
         pairs = self.cell_configs()
         shards = (
             self.spec.shards
@@ -903,33 +880,11 @@ class SweepRunner:
             on_cell=finish_cell,
             should_stop=should_stop,
         )
-        gc_evictions = sum(
-            result.campaign.merged.trace_cache_gc_evictions
-            for result in results
-        )
-        gc_bytes = sum(
-            result.campaign.merged.trace_cache_gc_bytes for result in results
-        )
-        disk_bytes: Optional[int] = None
-        if cache is not None:
-            if max_bytes is not None:
-                # finalizing pass: concurrent writers enforce the bound
-                # cooperatively, so trim whatever the last writers left;
-                # its scan doubles as the footprint measurement
-                evicted, freed = cache.gc()
-                gc_evictions += evicted
-                gc_bytes += freed
-                disk_bytes = cache.known_disk_bytes()
-            else:
-                disk_bytes = cache.disk_usage_bytes()
         return SweepReport(
             spec=self.spec,
             results=results,
             wall_seconds=time.perf_counter() - start,
             cache_dir=self.cache_dir,
-            trace_cache_gc_evictions=gc_evictions,
-            trace_cache_gc_bytes=gc_bytes,
-            trace_cache_disk_bytes=disk_bytes,
         )
 
 

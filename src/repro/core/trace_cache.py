@@ -15,7 +15,9 @@ runs). The full key/eviction/persistence contract is documented in
 - keys include the nesting depth (:attr:`Contract.cache_key`), so the
   §5.4 revalidation never collides with the base model, and program
   fingerprints are namespaced by architecture;
-- the memory tier evicts least-recently-used entries at ``max_entries``;
+- the memory tier evicts least-recently-used entries at ``max_entries``
+  (65536: comfortably a postprocessor run, one program family x a few
+  hundred inputs);
 - callers look entries up with ``get``/``peek``, :meth:`~ContractTraceCache
   .remember` each emulated miss, and hand a collection's emulated
   entries to one :meth:`~ContractTraceCache.publish` at its end
@@ -26,26 +28,13 @@ runs). The full key/eviction/persistence contract is documented in
 - the disk tier is crash-safe: records are published through
   :class:`repro.storage.RecordStore`, so concurrent shard writers can
   never expose a torn record;
-- the disk tier is append-only by default, but a size bound
-  (``max_bytes``) arms a garbage collector that evicts
-  least-recently-used records (by file mtime; each file read refreshes
-  it) under the same atomic discipline — an evicted record degrades to
-  cache misses for concurrent readers, never to a torn read.
+- the disk tier is append-only: only
+  :meth:`~PersistentTraceCache.clear_disk` deletes records.
 
 Knobs (also exposed on :class:`repro.core.config.FuzzerConfig` and the
-CLI as ``--cache`` / ``--cache-entries`` / ``--cache-dir`` /
-``--cache-max-bytes``):
-
-- ``max_entries`` bounds memory; the default of 65536 entries
-  comfortably covers a postprocessor run (one program family x a few
-  hundred inputs);
-- ``cache_dir`` (``trace_cache_dir``) selects the persistent backend;
-- ``max_bytes`` (``trace_cache_max_bytes``) bounds the persistent
-  backend's disk footprint;
-- ``compress`` (``trace_cache_compress`` / ``--cache-compress``)
-  zlib-compresses stored records — reads stay transparent to
-  uncompressed records (and vice versa), and the GC accounting sees
-  the compressed sizes, so a bounded tier holds more entries.
+CLI as ``--cache`` / ``--cache-dir``): ``contract_trace_cache`` turns
+the memory tier on, and ``trace_cache_dir`` selects the persistent
+backend.
 """
 
 from __future__ import annotations
@@ -54,10 +43,9 @@ import hashlib
 import logging
 import os
 import pickle
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro import faults
 from repro.faults import RetryPolicy
@@ -136,19 +124,11 @@ class CacheStats:
     #: entries published to the on-disk tier by this process (a record
     #: rewrite counts the entries it added)
     disk_writes: int = 0
-    #: publications (or GC passes) that failed with an ``OSError``
-    #: (ENOSPC, EACCES, ... after retries, or a record that could not be
-    #: re-read for the merge) — each one is a skipped memoization,
-    #: never a fuzzing-loop error
+    #: publications that failed with an ``OSError`` (ENOSPC, EACCES,
+    #: ... after retries, or a record that could not be re-read for
+    #: the merge) — each one is a skipped memoization, never a
+    #: fuzzing-loop error
     disk_write_errors: int = 0
-    #: garbage-collection passes this process ran over the disk tier
-    gc_runs: int = 0
-    #: disk records evicted by this process's GC passes. The GC evicts
-    #: whole records (one per program and contract, holding every
-    #: input's entry), so this counts records, not entries
-    gc_evicted_entries: int = 0
-    #: bytes reclaimed by this process's GC passes
-    gc_evicted_bytes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -270,41 +250,23 @@ class PersistentTraceCache(ContractTraceCache):
     wins, dropping the other's new entries: that costs a later
     re-emulation, never a wrong or torn trace.
 
-    The disk tier is append-only by default (no cross-process eviction
-    protocol; :meth:`clear` drops the memory tier and the record memo,
-    :meth:`clear_disk` deletes the stored records), but ``max_bytes``
-    arms a size-bounded garbage collector: whenever this process's
-    accounting sees the tier exceed the bound, :meth:`gc` rescans the
-    directory and evicts least-recently-used records — by file mtime,
-    which every file read refreshes — until the footprint is back under
-    the bound (with headroom, so a hot writer does not rescan on every
-    publication). Eviction is a plain ``unlink`` of a published
-    record: a concurrent reader of an evicted record sees misses and
-    re-emulates, never a torn read. Torn files are treated as misses
-    and deleted best-effort; a record of another
+    The disk tier is append-only (no cross-process eviction protocol;
+    :meth:`clear` drops the memory tier and the record memo,
+    :meth:`clear_disk` deletes the stored records). Torn files are
+    treated as misses and deleted best-effort; a record of another
     :attr:`FORMAT` or another record key (a digest collision) reads as
     empty.
     """
 
     #: format version of stored records; bump on layout changes. Format
     #: 1 stored one entry per file under a digest of the full cache key:
-    #: such files are never looked up, but :meth:`gc` and
-    #: :meth:`clear_disk` still remove them
+    #: such files are never looked up, but :meth:`clear_disk` still
+    #: removes them. Records that older releases zlib-compressed (behind
+    #: a ``b"RZTC\\x01"`` prefix) do not unpickle, so they read as torn
     FORMAT = 2
-    #: magic prefix of zlib-compressed records. Uncompressed records are
-    #: raw pickles, which (at ``HIGHEST_PROTOCOL``, the only protocol we
-    #: write) always start with ``b"\\x80"`` — so the two containers are
-    #: unambiguous and readers stay transparent to either encoding.
-    COMPRESSED_MAGIC = b"RZTC\x01"
     #: records kept decoded after a read or write, so the lookups of one
     #: collection (and of its nesting revalidation) read each file once
     RECORD_MEMO = 8
-    #: fraction of ``max_bytes`` a GC pass evicts down to — the headroom
-    #: that keeps a hot writer from rescanning the directory per put
-    GC_TARGET_FRACTION = 0.75
-    #: age (seconds) under which an orphaned ``.tmp-`` file is presumed
-    #: to belong to an in-flight writer and is left alone by the GC
-    TMP_GRACE_SECONDS = 300.0
     #: consecutive publication failures after which the disk tier stops
     #: attempting writes for the rest of the process (a full or
     #: read-only disk is not going to heal mid-campaign; reads and the
@@ -318,25 +280,10 @@ class PersistentTraceCache(ContractTraceCache):
         self,
         cache_dir: str,
         max_entries: int = 65536,
-        max_bytes: Optional[int] = None,
-        compress: bool = False,
         write_retry: Optional[RetryPolicy] = None,
     ):
         super().__init__(max_entries)
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
         self.cache_dir = os.fspath(cache_dir)
-        self.max_bytes = max_bytes
-        #: zlib-compress newly published records. Reads are transparent
-        #: in both directions: a compressed cache reads uncompressed
-        #: records and vice versa, so the knob can be toggled on a live
-        #: cache directory at any time. Compressed sizes are what the
-        #: ``max_bytes`` GC accounting sees, so a compressed cache holds
-        #: proportionally more entries under the same bound.
-        self.compress = bool(compress)
-        #: disk footprint as of the last scan plus this process's writes
-        #: since; ``None`` until the first scan
-        self._disk_bytes: Optional[int] = None
         self.write_retry = (
             write_retry if write_retry is not None else self.WRITE_RETRY
         )
@@ -400,7 +347,7 @@ class PersistentTraceCache(ContractTraceCache):
         record = self._records.get(record_key)
         if record is None:
             try:
-                record, _size = self._read_record(record_key)
+                record = self._read_record(record_key)
             except OSError:
                 # unreadable: a miss. Never discard here — a transient
                 # EIO must not delete an intact record
@@ -416,45 +363,30 @@ class PersistentTraceCache(ContractTraceCache):
         if len(self._records) > self.RECORD_MEMO:
             self._records.popitem(last=False)
 
-    def _read_record(
-        self, record_key: RecordKey
-    ) -> Tuple[Optional[Record], int]:
-        """One read of a record file: its entries and its size in bytes.
+    def _read_record(self, record_key: RecordKey) -> Optional[Record]:
+        """One read of a record file: its entries.
 
-        ``(None, 0)`` when the file is missing, or torn and discarded;
-        a record of another format or another record key reads as
-        empty. Raises ``OSError`` when the file exists but cannot be
-        read.
+        ``None`` when the file is missing, or torn and discarded; a
+        record of another format or another record key reads as empty.
+        Raises ``OSError`` when the file exists but cannot be read.
         """
         name = self._record_name(record_key)
         faults.inject_oserror("trace_cache.read")
         blob = self._store.read(name)
         if blob is None:
-            return None, 0
+            return None
         try:
-            payload = blob
-            if payload.startswith(self.COMPRESSED_MAGIC):
-                payload = zlib.decompress(
-                    payload[len(self.COMPRESSED_MAGIC):]
-                )
-            version, stored_key, record = pickle.loads(payload)
+            version, stored_key, record = pickle.loads(blob)
         except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError, ValueError, zlib.error):
+                ImportError, IndexError, TypeError, ValueError):
             # torn or incompatible record: a miss, not an error
             self._store.discard(name)
-            return None, 0
-        if self.max_bytes is not None:
-            # refresh the mtime once per file read, so the GC's LRU
-            # order tracks use, not just publication
-            try:
-                os.utime(self._store.path(name))
-            except OSError:
-                pass
+            return None
         if version != self.FORMAT or stored_key != record_key:
             # format drift, or a digest collision (the record key is
             # stored so a collision degrades to misses, not wrong traces)
-            return {}, len(blob)
-        return record, len(blob)
+            return {}
+        return record
 
     def publish(self, items: Iterable[Tuple[CacheKey, TraceEntry]]) -> None:
         """Merge a collection's emulated entries into their records on
@@ -470,7 +402,7 @@ class PersistentTraceCache(ContractTraceCache):
             return  # tier gave up after repeated ENOSPC/EACCES failures
         try:
             # the file, not the memo: a sibling may have added entries
-            stored, stored_size = self._read_record(record_key)
+            stored = self._read_record(record_key)
         except OSError:
             # the stored entries are unknown, and rewriting without them
             # would drop them: a skipped publication
@@ -491,13 +423,9 @@ class PersistentTraceCache(ContractTraceCache):
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return  # unpicklable entry: a skipped memoization
-        if self.compress:
-            blob = self.COMPRESSED_MAGIC + zlib.compress(blob)
         name = self._record_name(record_key)
         try:
-            size = self.write_retry.call(
-                lambda: self._publish_blob(name, blob)
-            )
+            self.write_retry.call(lambda: self._publish_blob(name, blob))
         except OSError as error:
             # ENOSPC/EACCES after retries: count it and keep fuzzing —
             # a failed publication is a skipped memoization, never a
@@ -514,96 +442,14 @@ class PersistentTraceCache(ContractTraceCache):
         self._consecutive_write_failures = 0
         self.stats.disk_writes += len(new)
         self._memoize(record_key, record)
-        if self.max_bytes is not None:
-            self._account_write(size - stored_size)
 
-    def _publish_blob(self, name: str, blob: bytes) -> int:
+    def _publish_blob(self, name: str, blob: bytes) -> None:
         """One atomic-publish attempt; raises ``OSError`` on failure."""
         faults.inject_oserror("trace_cache.write")
         # a torn-write fault publishes a truncated blob: readers must
         # treat it as a miss and discard it, never crash on it
         blob = faults.corrupt("trace_cache.torn", blob)
         self._store.publish(name, blob)
-        return len(blob)
-
-    def _account_write(self, size: int) -> None:
-        """Track this process's disk footprint (``size``: the bytes a
-        publication added, a rewritten record's growth); trigger the GC
-        on overflow. Sibling writers are accounted at every rescan, so the
-        bound is enforced cooperatively: each process trims as soon as
-        its own view of the footprint exceeds the limit."""
-        if self._disk_bytes is None:
-            self.gc()  # first bounded write: scan (and trim) the tier
-            return
-        self._disk_bytes += size
-        if self._disk_bytes > self.max_bytes:
-            self.gc()
-
-    def _scan_disk(self) -> Tuple[List[Tuple[float, int, str]], int]:
-        """(mtime, size, name) of every stored record, plus total bytes.
-        Also sweeps ``.tmp-`` orphans past the in-flight grace age."""
-        self._store.sweep_orphans(self.TMP_GRACE_SECONDS)
-        entries: List[Tuple[float, int, str]] = []
-        total = 0
-        for name in self._store.names():
-            try:
-                status = os.stat(self._store.path(name))
-            except OSError:
-                continue  # evicted by a concurrent GC mid-scan
-            entries.append((status.st_mtime, status.st_size, name))
-            total += status.st_size
-        return entries, total
-
-    def gc(self, max_bytes: Optional[int] = None) -> Tuple[int, int]:
-        """Size-bounded disk GC: evict LRU records until under the bound.
-
-        Scans the tier, then — when the footprint exceeds ``max_bytes``
-        (argument, or the instance bound) — unlinks whole record files
-        oldest-mtime first until the footprint is at or below
-        ``max_bytes * GC_TARGET_FRACTION``. Safe under concurrent
-        readers and writers: an evicted record degrades to misses, a
-        concurrently-evicted file is skipped. Returns
-        ``(records evicted, bytes reclaimed)``.
-        """
-        limit = self.max_bytes if max_bytes is None else max_bytes
-        try:
-            faults.inject_oserror("trace_cache.gc")
-            entries, total = self._scan_disk()
-        except OSError:
-            # an unscannable tier (unmounted, EACCES, ...) degrades to a
-            # skipped GC pass, never a mid-campaign crash; the next
-            # write-triggered pass retries
-            self.stats.disk_write_errors += 1
-            self.stats.gc_runs += 1
-            return 0, 0
-        evicted = 0
-        freed = 0
-        if limit is not None and total > limit:
-            target = int(limit * self.GC_TARGET_FRACTION)
-            entries.sort()  # oldest mtime first == least recently used
-            for _mtime, size, name in entries:
-                if total <= target:
-                    break
-                self._store.discard(name)
-                total -= size
-                evicted += 1
-                freed += size
-        self._disk_bytes = total
-        self.stats.gc_runs += 1
-        self.stats.gc_evicted_entries += evicted
-        self.stats.gc_evicted_bytes += freed
-        return evicted, freed
-
-    def disk_usage_bytes(self) -> int:
-        """Current disk footprint of the stored records (full scan)."""
-        _entries, total = self._scan_disk()
-        return total
-
-    def known_disk_bytes(self) -> Optional[int]:
-        """Footprint as of the last scan plus this process's writes
-        since — scan-free; ``None`` before the first scan. Exact right
-        after :meth:`gc` (callers avoid a second directory walk)."""
-        return self._disk_bytes
 
     def clear_disk(self) -> None:
         """Delete every stored record (format 1 files too) and the record
@@ -612,7 +458,6 @@ class PersistentTraceCache(ContractTraceCache):
         for name in self._store.names():
             self._store.discard(name)
         self._store.sweep_orphans()
-        self._disk_bytes = 0 if self.max_bytes is not None else None
         self._records.clear()
 
     def disk_entries(self) -> int:
@@ -621,25 +466,17 @@ class PersistentTraceCache(ContractTraceCache):
 
 
 def make_trace_cache(
-    enabled: bool,
-    cache_dir: Optional[str],
-    max_entries: int,
-    max_bytes: Optional[int] = None,
-    compress: bool = False,
+    enabled: bool, cache_dir: Optional[str]
 ) -> Optional[ContractTraceCache]:
     """Build the cache a pipeline's config asks for (or ``None``).
 
     ``cache_dir`` implies caching even when the boolean knob is off —
-    pointing a run at a directory is an explicit opt-in. ``max_bytes``
-    arms the persistent tier's garbage collector; ``compress``
-    zlib-compresses its records (reads stay transparent to uncompressed
-    records).
+    pointing a run at a directory is an explicit opt-in.
     """
     if cache_dir:
-        return PersistentTraceCache(cache_dir, max_entries, max_bytes,
-                                    compress)
+        return PersistentTraceCache(cache_dir)
     if enabled:
-        return ContractTraceCache(max_entries)
+        return ContractTraceCache()
     return None
 
 

@@ -14,7 +14,6 @@ site                 failure injected there
 trace_cache.read     ``OSError`` on a disk-tier read (degrades to miss)
 trace_cache.write    ``OSError`` on record publication (counted no-persist)
 trace_cache.torn     the published record blob is truncated (torn record)
-trace_cache.gc       ``OSError`` during the size-bounded GC pass
 journal.publish      ``OSError`` publishing a shard checkpoint record
 corpus.publish       ``OSError`` publishing a counterexample record
 sweep.unit           a pool worker dies (``os._exit``) mid-unit (campaign
@@ -62,7 +61,6 @@ KNOWN_SITES = (
     "trace_cache.read",
     "trace_cache.write",
     "trace_cache.torn",
-    "trace_cache.gc",
     "journal.publish",
     "corpus.publish",
     "sweep.unit",

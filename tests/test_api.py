@@ -39,7 +39,7 @@ class TestEngineOptions:
             executor_mode="F+R",
             entropy_bits=3,
             cache=True,
-            cache_entries=128,
+            cache_dir="traces",
         )
         config = options.to_fuzzer_config()
         assert config.arch == "aarch64"
@@ -49,15 +49,7 @@ class TestEngineOptions:
         assert config.executor_mode == "F+R"
         assert config.entropy_bits == 3
         assert config.contract_trace_cache is True
-        assert config.trace_cache_entries == 128
-
-    def test_cache_max_bytes_requires_cache_dir(self):
-        with pytest.raises(ValueError, match="requires --cache-dir"):
-            quick_options(cache_max_bytes=4096).to_fuzzer_config()
-
-    def test_cache_compress_requires_cache_dir(self):
-        with pytest.raises(ValueError, match="requires --cache-dir"):
-            quick_options(cache_compress=True).to_fuzzer_config()
+        assert config.trace_cache_dir == "traces"
 
     def test_dict_round_trip_is_json_stable(self):
         options = quick_options(cache=True, corpus_dir="corpus/x")
@@ -76,6 +68,9 @@ class TestEngineOptions:
             masked_fusion=False,
             dead_flags=False,
             compile_programs=False,
+            cache_entries=1024,
+            cache_max_bytes=4096,
+            cache_compress=True,
         )
         assert api.EngineOptions.from_dict(data) == quick_options()
 

@@ -34,7 +34,7 @@ class TestParser:
         assert args.workers == 4
         assert args.shards is None
         assert args.cache is False
-        assert args.cache_entries == 65536
+        assert args.cache_dir is None
         assert args.first_violation is False
 
     def test_arch_flag(self):
@@ -51,12 +51,11 @@ class TestParser:
     def test_campaign_custom(self):
         args = build_parser().parse_args(
             ["campaign", "-s", "AR", "-n", "40", "-w", "8", "--shards", "16",
-             "--cache", "--cache-entries", "1024"]
+             "--cache"]
         )
         assert args.workers == 8
         assert args.shards == 16
         assert args.cache is True
-        assert args.cache_entries == 1024
 
     def test_cache_dir_flag(self):
         args = build_parser().parse_args(
@@ -99,24 +98,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "-w", "0"])
 
-    def test_cache_max_bytes_flag(self):
-        # on every fuzzing subcommand, like the other cache knobs
+    def test_retired_cache_flags_are_rejected(self):
+        # two trace-cache settings: --cache and --cache-dir
+        parser = build_parser()
         for command in ("fuzz", "campaign", "minimize", "sweep"):
-            assert (
-                build_parser().parse_args([command]).cache_max_bytes is None
-            )
-        args = build_parser().parse_args(
-            ["sweep", "--cache-max-bytes", "65536"]
-        )
-        assert args.cache_max_bytes == 65536
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fuzz", "--cache-max-bytes", "0"])
-
-    def test_cache_max_bytes_requires_cache_dir(self):
-        # the bound applies to the disk tier; silently ignoring it on an
-        # in-memory cache would fake enforcement
-        with pytest.raises(SystemExit, match="requires --cache-dir"):
-            main(["fuzz", "-n", "1", "--cache-max-bytes", "4096"])
+            for argument in ("--cache-entries=1024",
+                             "--cache-max-bytes=4096", "--cache-compress"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, argument])
 
 
 class TestCommands:
@@ -170,7 +159,7 @@ class TestCommands:
         assert "traces reused" in output
 
     def test_sweep_parallel_cells_bounded_cache(self, tmp_path, capsys):
-        """The pool end to end: two cells in flight, a bounded shared
+        """The pool end to end: two cells in flight, a shared disk
         cache, and the same matrix output as a sequential run."""
         arguments = [
             "sweep", "--arch", "x86_64", "--contract", "CT-SEQ",
@@ -182,8 +171,7 @@ class TestCommands:
         code = main(
             arguments
             + ["-w", "2", "--shards", "1",
-               "--cache-dir", str(tmp_path / "traces"),
-               "--cache-max-bytes", "4096"]
+               "--cache-dir", str(tmp_path / "traces")]
         )
         assert code == 0
         parallel = capsys.readouterr().out

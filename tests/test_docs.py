@@ -44,6 +44,8 @@ def test_documented_subcommands_cover_the_workflow():
 
 def test_scheduler_and_gc_flags_are_registered():
     flags = check_docs.registered_flags()
-    assert {"workers", "shards", "cache-max-bytes", "cache-dir"} <= flags
+    assert {"workers", "shards", "cache", "cache-dir"} <= flags
     # one scheduler: the pool size is --workers, nothing else
     assert not {"parallel-cells", "schedule"} & flags
+    # two trace-cache settings: no LRU size, disk bound or compression
+    assert not {"cache-entries", "cache-max-bytes", "cache-compress"} & flags

@@ -8,6 +8,7 @@ and never change what a campaign *reports*. Report digests under a
 fault plan must be byte-identical to fault-free runs.
 """
 
+import ast
 import multiprocessing
 import os
 import signal
@@ -67,6 +68,49 @@ class TestFaultPlan:
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             plan("flux.capacitor=1")
+
+    def test_known_sites_match_the_call_sites_and_the_site_table(self):
+        """``KNOWN_SITES``, the ``faults.py`` docstring's site table and
+        the site literals ``src/repro`` passes to the hooks are one set,
+        so a site cannot outlive its call site or go undocumented."""
+        hooks = {"inject_oserror", "corrupt", "maybe_exit", "should_fire"}
+        called, non_literal = set(), []
+        for root, _dirs, files in os.walk(os.path.join(SRC, "repro")):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), path)
+                for node in ast.walk(tree):
+                    func = getattr(node, "func", None)
+                    if not (
+                        isinstance(node, ast.Call)
+                        and isinstance(func, ast.Attribute)
+                        and func.attr in hooks
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "faults"
+                    ):
+                        continue
+                    site = node.args[0] if node.args else None
+                    if isinstance(site, ast.Constant) and isinstance(
+                        site.value, str
+                    ):
+                        called.add(site.value)
+                    else:
+                        non_literal.append(f"{path}:{node.lineno}")
+        assert not non_literal, "sites must be string literals"
+        lines = faults.__doc__.splitlines()
+        rules = [i for i, line in enumerate(lines) if line.startswith("===")]
+        table = {
+            line.split()[0]
+            for line in lines[rules[1] + 1:rules[2]]
+            if line and not line[0].isspace()
+        }
+        assert called == table == set(faults.KNOWN_SITES)
+        # a retired site is no longer a valid plan
+        with pytest.raises(ValueError, match="unknown fault site"):
+            plan("trace_cache.gc=1")
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
@@ -253,13 +297,6 @@ class TestTraceCacheFaults:
         reader = PersistentTraceCache(str(tmp_path))
         assert reader.get(KEY) == ("trace", "log")
         assert reader.get(same_record) is None
-
-    def test_gc_faults_skip_the_pass(self, tmp_path):
-        cache = PersistentTraceCache(str(tmp_path), max_bytes=1)
-        cache.put(KEY, ("trace", "log"))
-        with faults.injected(plan("trace_cache.gc=1")):
-            assert cache.gc() == (0, 0)
-        assert cache.stats.disk_write_errors >= 1
 
     def test_write_errors_surface_in_the_fuzzing_report(self, tmp_path):
         options = quick_options(cache=True, cache_dir=str(tmp_path))
@@ -842,9 +879,10 @@ class TestStateRecovery:
 
     def test_snapshot_with_retired_fields_is_recovered(self, tmp_path):
         """A snapshot from a release that still had the byte-identical
-        engine knobs and the scheduler knobs — six fields that never
-        changed a result — is recovered, and its job resumes from its
-        journal to the uninterrupted digest."""
+        engine knobs, the scheduler knobs and the trace-cache size,
+        bound and compression knobs — nine fields that never changed a
+        result — is recovered, and its job resumes from its journal to
+        the uninterrupted digest."""
         journal_dir = str(tmp_path / "journal")
         options = quick_options()
         baseline = api.run_campaign(
@@ -856,7 +894,8 @@ class TestStateRecovery:
         ).to_dict()
         spec["options"].update(
             battery_eval=True, masked_fusion=True, dead_flags=True,
-            compile_programs=True,
+            compile_programs=True, cache_entries=65536,
+            cache_max_bytes=None, cache_compress=False,
         )
         spec.update(schedule="work-stealing", parallel_cells=1)
         state_dir = str(tmp_path / "state")

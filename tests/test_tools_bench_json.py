@@ -113,8 +113,6 @@ class TestChecker:
             "cores": 4, "cells": [dict(cell)], "workers": 4,
             "wall_seconds_sequential": 2.0,
             "wall_seconds_parallel": 1.0, "speedup": 2.0,
-            "trace_cache_max_bytes": 65536, "disk_bytes_sequential": 0,
-            "disk_bytes_parallel": 0, "gc_evictions": 1,
         }
         return cross, scaling
 
@@ -370,3 +368,76 @@ class TestWorkStealingSection:
         payload["workstealing"]["cells"][0]["wall_seconds"] = 1.5
         errors = check_bench_json.check_file(write(tmp_path, payload))
         assert any("wall_seconds" in error for error in errors)
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def e2e_payload(**overrides):
+    """One valid trajectory entry, with ``overrides`` applied."""
+    entry = {
+        "pr": 1,
+        "commit": "0000000",
+        "side": "parent",
+        "workload": "fuzz-clean",
+        "seed": 3,
+        "seconds": 25,
+        "runs": 3,
+        "correct": True,
+        "speed": 1.0,
+        "metrics": dict.fromkeys(check_bench_json.E2E_METRICS, 1.0),
+    }
+    entry.update(overrides)
+    return {"e2e_trajectory": {"entries": [entry]}}
+
+
+class TestE2ETrajectorySection:
+    def test_valid_section_passes(self, tmp_path):
+        assert check_bench_json.check_file(
+            write(tmp_path, e2e_payload())
+        ) == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"correct": False}, "correct must be true"),
+            ({"workload": "fuzz"}, "unknown workload"),
+            (
+                {"metrics": dict.fromkeys(
+                    check_bench_json.E2E_METRICS[:-1] + ("rss_mb",), 1.0
+                )},
+                "metrics must be exactly",
+            ),
+            (
+                {"metrics": dict(
+                    dict.fromkeys(check_bench_json.E2E_METRICS, 1.0),
+                    run_s=float("nan"),
+                )},
+                "run_s must be finite",
+            ),
+        ],
+        ids=["incorrect", "workload", "metric-names", "non-finite"],
+    )
+    def test_invalid_entry_rejected(self, tmp_path, overrides, message):
+        # json writes NaN as a bare token, which json.load accepts
+        errors = check_bench_json.check_file(
+            write(tmp_path, e2e_payload(**overrides))
+        )
+        assert any(message in error for error in errors), errors
+
+    def test_names_follow_benchmark_json(self):
+        with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as handle:
+            declared = json.load(handle)
+        assert check_bench_json.E2E_METRICS == tuple(
+            metric["name"] for metric in declared["end_to_end"]
+        )
+        assert check_bench_json.E2E_WORKLOADS == tuple(
+            workload["name"] for workload in declared["workloads"]
+        )
+
+    def test_checked_in_trajectory_passes(self):
+        path = os.path.join(REPO_ROOT, "BENCH_e2e.json")
+        assert check_bench_json.check_file(path) == []
+        assert check_bench_json.main(
+            [path, "--require", "e2e_trajectory"]
+        ) == 0

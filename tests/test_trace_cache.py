@@ -5,6 +5,7 @@ changing any collected trace)."""
 import multiprocessing
 import os
 import pickle
+import zlib
 from pathlib import Path
 
 import pytest
@@ -291,22 +292,18 @@ class TestRecordLayout:
         PersistentTraceCache(str(tmp_path)).publish(
             [(KEY, ("trace", "log")), (SAME_RECORD_KEY, ("t3", "l3"))]
         )
-        reader = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
-        real_open, real_utime = open, os.utime
-        opened, touched = [], []
+        reader = PersistentTraceCache(str(tmp_path))
+        real_open = open
+        opened = []
         monkeypatch.setattr(
             storage, "open",
             lambda path, *args: opened.append(path) or real_open(path, *args),
             raising=False,
         )
-        monkeypatch.setattr(
-            os, "utime",
-            lambda path, *args: touched.append(path) or real_utime(path, *args),
-        )
         assert reader.peek(KEY) and reader.peek(SAME_RECORD_KEY)
         assert reader.get(KEY) == ("trace", "log")
         assert reader.get(SAME_RECORD_KEY) == ("t3", "l3")
-        assert opened == touched == [reader._path(KEY)]
+        assert opened == [reader._path(KEY)]
         reader.clear()  # drops the record memo with the memory tier
         assert reader.get(KEY) == ("trace", "log")
         assert len(opened) == 2
@@ -330,12 +327,6 @@ class TestRecordLayout:
         assert reader.get(KEY) == ("trace", "log")
         assert reader.get(SAME_RECORD_KEY) == ("t3", "l3")
         assert reader.get(other_input) == ("t4", "l4")
-
-    def test_a_rewrite_accounts_the_size_delta(self, tmp_path):
-        cache = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
-        cache.put(KEY, ("trace", "log"))
-        cache.put(SAME_RECORD_KEY, ("t3", "l3"))
-        assert cache.known_disk_bytes() == cache.disk_usage_bytes()
 
     @pytest.mark.parametrize("battery", [True, False])
     def test_one_publish_per_collection(
@@ -433,231 +424,84 @@ def _numbered_key(index):
     return (f"fp{index}", None, "digest", ("CT-SEQ", 250, 1))
 
 
-def _write_entries_from_child(cache_dir, max_bytes, start, count):
-    """Child-process body: publish many entries under a GC bound."""
-    cache = PersistentTraceCache(cache_dir, max_bytes=max_bytes)
-    for index in range(start, start + count):
-        cache.put(_numbered_key(index), ("payload" * 64, "log"))
-
-
 class TestDiskGC:
+    """The disk tier has no garbage collector: it is append-only, and
+    only ``clear_disk()`` deletes records."""
+
     PAYLOAD = ("payload" * 64, "log")
-
-    def _entry_size(self, tmp_path):
-        probe = PersistentTraceCache(str(tmp_path / "probe"))
-        probe.put(_numbered_key(0), self.PAYLOAD)
-        return probe.disk_usage_bytes()
-
-    def test_invalid_max_bytes(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            PersistentTraceCache(str(tmp_path), max_bytes=0)
 
     def test_unbounded_cache_never_collects(self, tmp_path):
         cache = PersistentTraceCache(str(tmp_path))
         for index in range(32):
             cache.put(_numbered_key(index), self.PAYLOAD)
-        assert cache.stats.gc_runs == 0
         assert cache.disk_entries() == 32
-
-    def test_put_enforces_the_bound(self, tmp_path):
-        bound = 6 * self._entry_size(tmp_path)
-        cache = PersistentTraceCache(str(tmp_path), max_bytes=bound)
-        for index in range(50):
-            cache.put(_numbered_key(index), self.PAYLOAD)
-            assert cache.disk_usage_bytes() <= bound
-        assert cache.stats.gc_runs > 0
-        assert cache.stats.gc_evicted_entries > 0
-        assert cache.stats.gc_evicted_bytes > 0
-        assert cache.disk_entries() < 50
-
-    def test_eviction_order_is_lru_by_mtime(self, tmp_path):
-        cache = PersistentTraceCache(str(tmp_path))
-        now = os.path.getmtime(str(tmp_path))
-        for index, age in enumerate((400, 300, 200, 100)):
-            key = _numbered_key(index)
-            cache.put(key, self.PAYLOAD)
-            os.utime(cache._path(key), (now - age, now - age))
-        entry_size = cache.disk_usage_bytes() // 4
-        # room for two entries (after headroom): the two oldest go
-        evicted, freed = cache.gc(max_bytes=3 * entry_size)
-        assert evicted == 2
-        assert freed == 2 * entry_size
-        remaining = {
-            index
-            for index in range(4)
-            if os.path.exists(cache._path(_numbered_key(index)))
-        }
-        assert remaining == {2, 3}  # the most recently touched survive
-
-    def test_disk_hit_refreshes_recency(self, tmp_path):
-        writer = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
-        now = os.path.getmtime(str(tmp_path))
-        for index in range(2):
-            key = _numbered_key(index)
-            writer.put(key, self.PAYLOAD)
-            os.utime(writer._path(key), (now - 500 + index, now - 500 + index))
-        # a cold reader hits entry 0 on disk, refreshing its mtime ...
-        reader = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
-        assert reader.get(_numbered_key(0)) == self.PAYLOAD
-        # ... so the GC now evicts entry 1 (older use) first: the bound
-        # is just under two entries, and the 75% headroom target then
-        # asks for one eviction
-        entry_size = reader.disk_usage_bytes() // 2
-        reader.gc(max_bytes=2 * entry_size - 1)
-        assert os.path.exists(reader._path(_numbered_key(0)))
-        assert not os.path.exists(reader._path(_numbered_key(1)))
+        reader = PersistentTraceCache(str(tmp_path))
+        for index in range(32):
+            assert reader.get(_numbered_key(index)) == self.PAYLOAD
+        assert reader.stats.disk_hits == 32
 
     def test_evicted_entry_degrades_to_miss_and_is_rewritable(self, tmp_path):
-        cache = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
+        cache = PersistentTraceCache(str(tmp_path))
+        reader = PersistentTraceCache(str(tmp_path))
         cache.put(_numbered_key(0), self.PAYLOAD)
-        cache.gc(max_bytes=1)  # evict everything
+        cache.clear_disk()  # delete every record
         cache.clear()  # drop the memory tier too
         assert cache.get(_numbered_key(0)) is None
+        assert reader.get(_numbered_key(0)) is None
         cache.put(_numbered_key(0), self.PAYLOAD)
         assert PersistentTraceCache(str(tmp_path)).get(
             _numbered_key(0)
         ) == self.PAYLOAD
 
-    def test_gc_sweeps_stale_tmp_orphans_only(self, tmp_path):
-        cache = PersistentTraceCache(str(tmp_path), max_bytes=1 << 30)
-        orphan_dir = tmp_path / "ab"
-        orphan_dir.mkdir()
-        stale = orphan_dir / ".tmp-killed-writer"
-        stale.write_bytes(b"partial")
-        old = os.path.getmtime(str(stale)) - 2 * cache.TMP_GRACE_SECONDS
-        os.utime(str(stale), (old, old))
-        fresh = orphan_dir / ".tmp-in-flight"
-        fresh.write_bytes(b"partial")
-        cache.gc()
-        assert not stale.exists()
-        assert fresh.exists()  # presumed to belong to a live writer
-
-    def test_concurrent_writers_respect_the_bound(self, tmp_path):
-        bound = 8 * self._entry_size(tmp_path)
-        cache_dir = str(tmp_path / "shared")
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        children = [
-            context.Process(
-                target=_write_entries_from_child,
-                args=(cache_dir, bound, start, 40),
-            )
-            for start in (0, 1000, 2000)
-        ]
-        for child in children:
-            child.start()
-        for child in children:
-            child.join()
-            assert child.exitcode == 0
-        # cooperative enforcement plus a finalizing pass (what campaign
-        # runs and the sweep runner do) leaves the tier within bounds
-        cache = PersistentTraceCache(cache_dir, max_bytes=bound)
-        cache.gc()
-        assert cache.disk_usage_bytes() <= bound
-
-    def test_make_trace_cache_passes_the_bound(self, tmp_path):
-        cache = make_trace_cache(False, str(tmp_path), 16, 4096)
-        assert isinstance(cache, PersistentTraceCache)
-        assert cache.max_bytes == 4096
-        assert make_trace_cache(True, None, 16, 4096).max_entries == 16
-
 
 class TestCompression:
-    """zlib compression of disk entries (``--cache-compress``)."""
-
-    #: redundant payload so compression visibly shrinks the footprint
-    PAYLOAD = ("observation " * 256, "log")
-
-    @staticmethod
-    def _entry_paths(tmp_path):
-        return [
-            os.path.join(root, name)
-            for root, _dirs, files in os.walk(tmp_path)
-            for name in files
-            if name.endswith(".trace")
-        ]
-
-    def test_compressed_roundtrip(self, tmp_path):
-        writer = PersistentTraceCache(str(tmp_path), compress=True)
-        writer.put(KEY, self.PAYLOAD)
-        [path] = self._entry_paths(tmp_path)
-        with open(path, "rb") as handle:
-            assert handle.read(5) == PersistentTraceCache.COMPRESSED_MAGIC
-        reader = PersistentTraceCache(str(tmp_path), compress=True)
-        assert reader.get(KEY) == self.PAYLOAD
-        assert reader.stats.disk_hits == 1
-
-    def test_uncompressed_cache_reads_compressed_entries(self, tmp_path):
-        PersistentTraceCache(str(tmp_path), compress=True).put(
-            KEY, self.PAYLOAD
-        )
-        legacy_reader = PersistentTraceCache(str(tmp_path))
-        assert legacy_reader.get(KEY) == self.PAYLOAD
-        assert legacy_reader.stats.disk_hits == 1
-
-    def test_compressed_cache_reads_legacy_entries(self, tmp_path):
-        PersistentTraceCache(str(tmp_path)).put(KEY, self.PAYLOAD)
-        reader = PersistentTraceCache(str(tmp_path), compress=True)
-        assert reader.get(KEY) == self.PAYLOAD
-        assert reader.stats.disk_hits == 1
-
-    def test_compression_shrinks_the_footprint(self, tmp_path):
-        plain = PersistentTraceCache(str(tmp_path / "plain"))
-        packed = PersistentTraceCache(str(tmp_path / "packed"),
-                                      compress=True)
-        plain.put(KEY, self.PAYLOAD)
-        packed.put(KEY, self.PAYLOAD)
-        assert packed.disk_usage_bytes() < plain.disk_usage_bytes() / 2
-
-    def test_gc_accounts_compressed_sizes(self, tmp_path):
-        # a bound that holds few uncompressed entries holds many
-        # compressed ones: the GC accounting must see compressed sizes
-        probe = PersistentTraceCache(str(tmp_path / "probe"),
-                                     compress=True)
-        probe.put(_numbered_key(0), self.PAYLOAD)
-        compressed_size = probe.disk_usage_bytes()
-        bound = compressed_size * 6
-        cache = PersistentTraceCache(str(tmp_path / "bounded"),
-                                     max_bytes=bound, compress=True)
-        for index in range(5):
-            cache.put(_numbered_key(index), self.PAYLOAD)
-        assert cache.stats.gc_evicted_entries == 0
-        assert cache.disk_entries() == 5
-        assert cache.known_disk_bytes() <= bound
+    """Records that older releases zlib-compressed."""
 
     def test_corrupt_compressed_entry_degrades_to_miss(self, tmp_path):
-        cache = PersistentTraceCache(str(tmp_path), compress=True)
-        cache.put(KEY, self.PAYLOAD)
-        [path] = self._entry_paths(tmp_path)
-        with open(path, "wb") as handle:
-            handle.write(PersistentTraceCache.COMPRESSED_MAGIC + b"torn")
-        fresh = PersistentTraceCache(str(tmp_path), compress=True)
-        assert fresh.get(KEY) is None  # miss, and best-effort deletion
-        assert not self._entry_paths(tmp_path)
+        # the layout of the retired compression knob: a magic prefix,
+        # then the zlib-compressed pickle. Such a record is a miss, is
+        # discarded and re-emulated: never an error, never a stale trace
+        program = parse_program(V1)
+        config = cached_config(trace_cache_dir=str(tmp_path))
+        first = TestingPipeline(config)
+        inputs = InputGenerator(seed=3, layout=first.layout).generate(8)
+        reference = first.collect_contract_traces(program, inputs)
+        [path] = _trace_files(tmp_path)
+        record = Path(path)
+        record.write_bytes(b"RZTC\x01" + zlib.compress(record.read_bytes()))
+        fresh = TestingPipeline(config)
+        replayed = fresh.collect_contract_traces(program, inputs)
+        stats = fresh.trace_cache.stats
+        assert (stats.misses, stats.hits, stats.disk_hits) == (8, 0, 0)
+        assert fresh.contract_emulations == 8
+        assert replayed[0] == reference[0]
+        assert [log.entries for log in replayed[1]] == [
+            log.entries for log in reference[1]
+        ]
+        # republished in the plain layout, which the next run reads
+        assert stats.disk_writes == 8
+        assert _trace_files(tmp_path) == [path]
+        again = TestingPipeline(config)
+        assert again.collect_contract_traces(program, inputs)[0] == (
+            reference[0]
+        )
+        assert again.trace_cache.stats.disk_hits == 8
 
 
 class TestMakeTraceCache:
     def test_disabled(self):
-        assert make_trace_cache(False, None, 16) is None
+        assert make_trace_cache(False, None) is None
 
     def test_memory_only(self):
-        cache = make_trace_cache(True, None, 16)
+        cache = make_trace_cache(True, None)
         assert type(cache) is ContractTraceCache
-        assert cache.max_entries == 16
+        assert cache.max_entries == 65536
 
     def test_cache_dir_implies_persistent(self, tmp_path):
-        cache = make_trace_cache(False, str(tmp_path), 16)
+        cache = make_trace_cache(False, str(tmp_path))
         assert isinstance(cache, PersistentTraceCache)
         assert cache.cache_dir == str(tmp_path)
-
-    def test_compress_knob_reaches_the_persistent_tier(self, tmp_path):
-        cache = make_trace_cache(False, str(tmp_path), 16, None, True)
-        assert isinstance(cache, PersistentTraceCache)
-        assert cache.compress is True
-        assert make_trace_cache(False, str(tmp_path), 16).compress is False
+        assert cache.max_entries == 65536
 
 
 class TestPipelineIntegration:

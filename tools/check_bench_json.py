@@ -19,7 +19,7 @@ upload on four invariants:
    contract of ``docs/campaigns-and-sweeps.md`` — and, decisively, the
    ``sweep_cross_isa`` and ``sweep_parallel_scaling`` benchmarks run
    the *same deterministic grid* under different scheduling (pool
-   sizes, cache GC), so when both sections are present their ``cells``
+   sizes), so when both sections are present their ``cells``
    lists must be byte-identical: a real end-to-end check of the
    determinism claim on every CI run;
 4. **section value gates** — sections that encode a performance
@@ -39,7 +39,10 @@ upload on four invariants:
    run, and — when the host had enough cores to make the claim
    meaningful (``speedup_gated``) — a >= 1.3x speedup over one worker
    on a heterogeneous grid (the unit-pool contract of
-   ``docs/campaigns-and-sweeps.md``).
+   ``docs/campaigns-and-sweeps.md``), and ``e2e_trajectory`` (the
+   checked-in ``BENCH_e2e.json``) must hold only correct perfbench
+   measurements of a known workload, each with exactly the seven
+   end-to-end metrics of ``BENCHMARK.json``, all finite.
 
 Usage::
 
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Set
 
@@ -91,10 +95,6 @@ SECTION_SCHEMAS: Dict[str, Set[str]] = {
         "wall_seconds_sequential",
         "wall_seconds_parallel",
         "speedup",
-        "trace_cache_max_bytes",
-        "disk_bytes_sequential",
-        "disk_bytes_parallel",
-        "gc_evictions",
     },
     "emulation_throughput": {
         "instructions",
@@ -153,6 +153,7 @@ SECTION_SCHEMAS: Dict[str, Set[str]] = {
         "baseline_digest",
         "digest_match",
     },
+    "e2e_trajectory": {"entries"},
 }
 
 
@@ -342,6 +343,93 @@ def _check_service_resilience(payload) -> List[str]:
     return errors
 
 
+#: perfbench's workloads and end-to-end metrics, as BENCHMARK.json
+#: declares them
+E2E_WORKLOADS = ("fuzz-clean", "detect-minimize", "sweep-grid")
+E2E_METRICS = (
+    "setup_s",
+    "run_s",
+    "inputs_per_s",
+    "cases_per_s",
+    "inputs_per_s.x86_64",
+    "inputs_per_s.aarch64",
+    "peak_rss_mb",
+)
+#: required keys of one trajectory entry: one perfbench workload
+#: measured on one side of a change. ``commit`` is the parent commit
+#: the pair was measured against (side ``change`` is that commit plus
+#: the change); ``speed`` and ``metrics`` are medians over the ``runs``
+E2E_ENTRY_KEYS: Set[str] = {
+    "pr",
+    "commit",
+    "side",
+    "workload",
+    "seed",
+    "seconds",
+    "runs",
+    "correct",
+    "speed",
+    "metrics",
+}
+
+
+def _finite(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_e2e_trajectory(payload) -> List[str]:
+    """Value gates of the end-to-end trajectory: every entry is a
+    correct perfbench measurement of a known workload that carries
+    exactly the seven end-to-end metrics, each a finite number — a
+    trajectory point from a run that failed its pins, or with a
+    renamed metric, compares nothing."""
+    entries = payload.get("entries")
+    if not isinstance(entries, list) or not entries:
+        return ["e2e_trajectory: entries must be a non-empty list"]
+    errors = []
+    for index, entry in enumerate(entries):
+        where = f"e2e_trajectory.entries[{index}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{where}: not an object")
+            continue
+        missing = E2E_ENTRY_KEYS - set(entry)
+        if missing:
+            errors.append(f"{where}: missing keys {sorted(missing)}")
+        if entry.get("correct") is not True:
+            errors.append(f"{where}: correct must be true")
+        if entry.get("workload") not in E2E_WORKLOADS:
+            errors.append(
+                f"{where}: unknown workload {entry.get('workload')!r}"
+            )
+        if entry.get("side") not in ("parent", "change"):
+            errors.append(
+                f"{where}: side must be 'parent' or 'change', got "
+                f"{entry.get('side')!r}"
+            )
+        for key in ("seed", "seconds", "runs", "speed"):
+            if key in entry and not _finite(entry[key]):
+                errors.append(f"{where}: {key} must be a finite number")
+        metrics = entry.get("metrics")
+        if not isinstance(metrics, dict):
+            errors.append(f"{where}: metrics must be an object")
+            continue
+        if set(metrics) != set(E2E_METRICS):
+            errors.append(
+                f"{where}: metrics must be exactly {list(E2E_METRICS)}, "
+                f"got {sorted(metrics)}"
+            )
+        for name, value in sorted(metrics.items()):
+            if not _finite(value):
+                errors.append(
+                    f"{where}: metric {name} must be finite, got {value!r}"
+                )
+    return errors
+
+
 #: per-section value gates, run after the key-presence checks
 SECTION_VALUE_CHECKS = {
     "emulation_throughput": _check_emulation_throughput,
@@ -349,6 +437,7 @@ SECTION_VALUE_CHECKS = {
     "corpus_replay": _check_corpus_replay,
     "workstealing": _check_workstealing,
     "service_resilience": _check_service_resilience,
+    "e2e_trajectory": _check_e2e_trajectory,
 }
 
 #: required keys of one deterministic cell report (sweep ``cells``)

@@ -55,8 +55,7 @@ _SCALAR_ENGINE_SUBCOMMANDS = ("fuzz", "campaign", "minimize")
 _DECLARED_ONCE_FLAGS = (
     "--subsets", "--mode", "--num-test-cases", "--timeout",
     "--analyzer", "--pages", "--prescreen", "--prescreen-safety-rate",
-    "--cache", "--cache-entries", "--cache-dir", "--cache-max-bytes",
-    "--cache-compress", "--corpus-dir",
+    "--cache", "--cache-dir", "--corpus-dir",
 )
 
 
