@@ -8,14 +8,11 @@ reasons about exactly what executes:
   speculative-window reachability used by the pre-screen;
 - :mod:`repro.analysis.dataflow` — the generic worklist solver;
 - :mod:`repro.analysis.liveness` — backward register+flag liveness;
-- :mod:`repro.analysis.defuse` — reaching definitions / def-use chains;
 - :mod:`repro.analysis.taint` — forward taint from input-controlled
   locations;
 - :mod:`repro.analysis.deadflags` — dead-flag elimination pass;
 - :mod:`repro.analysis.prescreen` — static leak pre-screen for the
   fuzzing pipeline;
-- :mod:`repro.analysis.fence_advisor` — fence-placement advice for the
-  §5.7 minimizer;
 - :mod:`repro.analysis.metadata_lint` — differential linter checking
   static RW metadata against observed dynamic behaviour.
 
@@ -33,7 +30,6 @@ from repro.analysis.cfg import (
 )
 from repro.analysis.dataflow import Analysis, DataflowResult, solve
 from repro.analysis.deadflags import DeadFlagReport, eliminate_dead_flags
-from repro.analysis.defuse import DefUse, compute_def_use
 from repro.analysis.liveness import Liveness, compute_liveness
 from repro.analysis.taint import Taint, TaintSeed, compute_taint
 
@@ -42,14 +38,12 @@ __all__ = [
     "CFG",
     "DataflowResult",
     "DeadFlagReport",
-    "DefUse",
     "Liveness",
     "SpeculationModel",
     "SpeculationSource",
     "Taint",
     "TaintSeed",
     "build_cfg",
-    "compute_def_use",
     "compute_liveness",
     "compute_taint",
     "eliminate_dead_flags",

@@ -233,7 +233,7 @@ def run_sweep(
     ).run(progress=progress, should_stop=should_stop)
 
 
-def run_minimize(options: EngineOptions, advise_fences: bool = False):
+def run_minimize(options: EngineOptions):
     """Fuzz until a violation, then run the 3-stage postprocessor.
 
     Returns ``(FuzzingReport, MinimizationResult or None)``.
@@ -244,9 +244,7 @@ def run_minimize(options: EngineOptions, advise_fences: bool = False):
         return report, None
     violation = report.violation
     result = Postprocessor(fuzzer.pipeline).minimize(
-        violation.program,
-        list(violation.input_sequence),
-        advise_fences=advise_fences,
+        violation.program, list(violation.input_sequence)
     )
     return report, result
 

@@ -45,7 +45,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro import api
+from repro import api, faults
 from repro.arch import architecture_names, get_architecture
 from repro.emulator.state import SandboxLayout
 from repro.contracts import contract_names, get_contract
@@ -292,9 +292,7 @@ def run_minimize(args: argparse.Namespace):
     Thin wrapper over :func:`repro.api.run_minimize`, kept so existing
     importers keep working with a parsed namespace.
     """
-    return api.run_minimize(
-        api.EngineOptions.from_args(args), advise_fences=args.advise_fences
-    )
+    return api.run_minimize(api.EngineOptions.from_args(args))
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
@@ -524,12 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         "minimize", help="fuzz until a violation, then minimize it"
     )
     add_engine_options(minimize_parser)
-    minimize_parser.add_argument(
-        "--advise-fences", action="store_true",
-        help="probe fence positions in the order the static fence "
-        "advisor suggests (repro.analysis.fence_advisor) instead of "
-        "exhaustive reverse order",
-    )
     minimize_parser.set_defaults(handler=cmd_minimize)
 
     replay_parser = commands.add_parser(
@@ -627,6 +619,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        faults.active_plan()  # parse REPRO_FAULTS once, before the run
+    except (OSError, ValueError) as error:
+        parser.error(f"fault plan from the environment: {error}")
     return args.handler(args)
 
 

@@ -30,7 +30,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro import faults
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import FuzzingReport
-from repro.storage import RecordStore
+from repro.storage import ORPHAN_GRACE_SECONDS, RecordStore
 
 logger = logging.getLogger(__name__)
 
@@ -125,7 +125,8 @@ class CampaignJournal:
         validates the digest against an existing one.  With
         ``resume=True`` the spec file must already exist — resuming a
         journal that was never started is a spelling mistake, not a
-        campaign.
+        campaign.  A bound journal has one writer, this process, so
+        temp files a killed writer left behind are swept here.
         """
         digest = spec_digest(payload)
         spec_path = self._store.path(SPEC_FILE)
@@ -167,6 +168,7 @@ class CampaignJournal:
                     default=str,
                 ).encode("utf-8"),
             )
+        self._store.sweep_orphans(ORPHAN_GRACE_SECONDS)
         self.digest = digest
 
     # -- records ------------------------------------------------------

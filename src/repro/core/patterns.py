@@ -77,13 +77,9 @@ def patterns_in_log(log: ExecutionLog) -> Set[str]:
 
 @dataclass
 class PatternCoverage:
-    """Accumulates covered patterns and pattern combinations across rounds.
+    """Accumulates covered patterns and pattern pairs across rounds (the
+    paper counts individual patterns and their pairs)."""
 
-    ``max_combination_size`` bounds the tracked co-occurrence sets; the
-    paper counts individual patterns and their pairs.
-    """
-
-    max_combination_size: int = 2
     covered: Set[FrozenSet[str]] = field(default_factory=set)
 
     def update_from_class(self, member_patterns: Sequence[Set[str]]) -> Set[FrozenSet[str]]:
@@ -107,7 +103,7 @@ class PatternCoverage:
         return newly
 
     def _combinations(self, patterns: Set[str]) -> Iterable[FrozenSet[str]]:
-        for size in range(1, self.max_combination_size + 1):
+        for size in (1, 2):
             for combo in combinations(sorted(patterns), size):
                 yield frozenset(combo)
 

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction, TestCaseProgram
-from repro.analysis.fence_advisor import FencePlan, advise_fences as advise
 # imported by name only so perfbench's tracer, which wraps
 # compile_program in every module that imports it, still installs
 from repro.emulator.compiled import compile_program  # noqa: F401
 from repro.emulator.errors import EmulationError
 from repro.emulator.state import InputData
 from repro.core.fuzzer import TestingPipeline
+
+#: stage 2 repeats its sweep until a pass removes nothing, at most this often
+MAX_PASSES = 3
 
 
 @dataclass
@@ -106,19 +108,9 @@ class Postprocessor:
     # -- public API ---------------------------------------------------------------
 
     def minimize(
-        self,
-        program: TestCaseProgram,
-        inputs: Sequence[InputData],
-        max_passes: int = 3,
-        advise_fences: bool = False,
+        self, program: TestCaseProgram, inputs: Sequence[InputData]
     ) -> MinimizationResult:
-        """Run all three minimization stages.
-
-        With ``advise_fences``, stage 3 probes the insertion points the
-        static fence advisor (:mod:`repro.analysis.fence_advisor`)
-        flags first — same validation per probe, different order, so
-        the surviving fence set can differ from the default exhaustive
-        reverse order (which is why the default stays off)."""
+        """Run all three minimization stages."""
         inputs = list(inputs)
         if not self._violates(program, inputs):
             raise ValueError("the provided test case does not violate")
@@ -126,16 +118,9 @@ class Postprocessor:
         original_inputs = len(inputs)
 
         inputs = self.minimize_inputs(program, inputs)
-        program = self.minimize_instructions(program, inputs, max_passes)
-        advice = None
-        if advise_fences:
-            advice = advise(
-                self.pipeline.compiled_for(program),
-                program,
-                self.pipeline.config.executor_mode,
-            )
+        program = self.minimize_instructions(program, inputs)
         pre_fence_program = program
-        program, fences = self.insert_fences(program, inputs, advice)
+        program, fences = self.insert_fences(program, inputs)
 
         result = MinimizationResult(
             program=program,
@@ -212,14 +197,12 @@ class Postprocessor:
     # -- stage 2: instructions ---------------------------------------------------------
 
     def minimize_instructions(
-        self,
-        program: TestCaseProgram,
-        inputs: Sequence[InputData],
-        max_passes: int = 3,
+        self, program: TestCaseProgram, inputs: Sequence[InputData]
     ) -> TestCaseProgram:
-        """Remove instructions one at a time while the violation persists."""
+        """Remove instructions one at a time while the violation persists,
+        in up to ``MAX_PASSES`` passes."""
         current = program.clone()
-        for _ in range(max_passes):
+        for _ in range(MAX_PASSES):
             changed = False
             for block_index in range(len(current.blocks)):
                 body = current.blocks[block_index].body
@@ -251,33 +234,19 @@ class Postprocessor:
     # -- stage 3: fence boundaries -------------------------------------------------------
 
     def insert_fences(
-        self,
-        program: TestCaseProgram,
-        inputs: Sequence[InputData],
-        advice: Optional[FencePlan] = None,
+        self, program: TestCaseProgram, inputs: Sequence[InputData]
     ) -> Tuple[TestCaseProgram, int]:
         """Insert serializing fences from the last instruction backwards
         while the violation persists; survivors delimit the leaking
-        region.
-
-        ``advice`` (from :func:`repro.analysis.fence_advisor.advise_fences`)
-        reorders the probes: the advised points — where a fence is
-        predicted to kill the violation, i.e. the leak region — are
-        probed last, so the shielding fences around the region are
-        already in place when the region itself is probed."""
+        region."""
         current = program.clone()
         fences = 0
-        positions: List[Tuple[int, int]] = []
-        for block_index, block in enumerate(current.blocks):
-            for body_index in range(len(block.body) + 1):
-                positions.append((block_index, body_index))
-        probe_order = list(reversed(positions))
-        if advice is not None and not advice.empty:
-            advised = set(advice.positions)
-            probe_order = [p for p in probe_order if p not in advised] + [
-                p for p in probe_order if p in advised
-            ]
-        for block_index, body_index in probe_order:
+        positions = [
+            (block_index, body_index)
+            for block_index, block in enumerate(current.blocks)
+            for body_index in range(len(block.body) + 1)
+        ]
+        for block_index, body_index in reversed(positions):
             candidate = current.clone()
             candidate.blocks[block_index].body.insert(
                 body_index, self._fence

@@ -157,26 +157,23 @@ class Executor:
         self,
         program: Union[TestCaseProgram, CompiledProgram],
         inputs: Sequence[InputData],
-        fresh_context: bool = True,
     ) -> List[HTrace]:
         """Collect one merged hardware trace per input (paper §5.3).
 
-        The input sequence is executed in order (priming); the whole
-        sequence is repeated ``warmup_passes + repetitions`` times; per
-        input, one-off traces are discarded and the rest are unioned.
+        The input sequence is executed in order (priming), starting from
+        a fresh microarchitectural context; the whole sequence is
+        repeated ``warmup_passes + repetitions`` times; per input,
+        one-off traces are discarded and the rest are unioned.
         ``program`` may be a pre-compiled
         :class:`~repro.emulator.compiled.CompiledProgram` (the pipeline
         compiles each test case once and threads the IR through).
         """
-        return self.collect_hardware_traces_linearized(
-            program, inputs, fresh_context
-        )
+        return self.collect_hardware_traces_linearized(program, inputs)
 
     def collect_hardware_traces_linearized(
         self,
         linear: Union[LinearProgram, CompiledProgram, TestCaseProgram],
         inputs: Sequence[InputData],
-        fresh_context: bool = True,
     ) -> List[HTrace]:
         """Batch-friendly variant of :meth:`collect_hardware_traces`.
 
@@ -185,8 +182,7 @@ class Executor:
         once and reuse the compiled stream across all measurements.
         """
         program = self._lower(linear)
-        if fresh_context:
-            self.cpu.reset_context()
+        self.cpu.reset_context()
         per_input_traces: List[List[frozenset]] = [[] for _ in inputs]
         self.last_run_infos = [[] for _ in inputs]
 
@@ -208,7 +204,6 @@ class Executor:
         programs: Sequence[Union[TestCaseProgram, LinearProgram,
                                  CompiledProgram]],
         input_batches: Sequence[Sequence[InputData]],
-        fresh_context: bool = True,
         skip_faulting: bool = False,
     ) -> List[Optional[List[HTrace]]]:
         """Measure a batch of (program, input sequence) pairs in one call.
@@ -249,7 +244,7 @@ class Executor:
                     compiled_by_id[id(program)] = lowered
             try:
                 traces = self.collect_hardware_traces_linearized(
-                    lowered, inputs, fresh_context
+                    lowered, inputs
                 )
             except EmulationError:
                 if not skip_faulting:

@@ -187,10 +187,14 @@ class FaultPlan:
         spec = env.get(ENV_SPEC)
         if not spec:
             return None
+        try:
+            seed = int(env.get(ENV_SEED, "0"))
+        except ValueError:
+            raise ValueError(
+                f"{ENV_SEED} must be an integer, got {env[ENV_SEED]!r}"
+            ) from None
         return cls.parse(
-            spec,
-            seed=int(env.get(ENV_SEED, "0")),
-            token_dir=env.get(ENV_TOKEN_DIR) or None,
+            spec, seed=seed, token_dir=env.get(ENV_TOKEN_DIR) or None
         )
 
     def to_spec(self) -> str:

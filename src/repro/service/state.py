@@ -23,7 +23,7 @@ import os
 from typing import Any, Dict, List, Mapping
 
 from repro import faults
-from repro.storage import RecordStore
+from repro.storage import ORPHAN_GRACE_SECONDS, RecordStore
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +39,8 @@ class ServiceState:
         self.jobs_dir = os.path.join(directory, _JOBS_SUBDIR)
         os.makedirs(self.jobs_dir, exist_ok=True)
         self._store = RecordStore(self.jobs_dir, ".json")
+        # one service owns a state directory: older temp files are orphans
+        self._store.sweep_orphans(ORPHAN_GRACE_SECONDS)
         #: snapshot publications that failed with an ``OSError`` and
         #: were skipped — the in-memory job table stays authoritative
         self.write_errors = 0

@@ -18,6 +18,9 @@ from typing import List, Optional
 
 #: prefix of in-flight temp files; no record name starts with a dot
 TEMP_PREFIX = ".tmp-"
+#: age after which a temp file is an orphan: a publish writes one blob
+#: and renames it, so an older temp file has no live writer
+ORPHAN_GRACE_SECONDS = 300.0
 _FANOUT_DIR = re.compile(r"[0-9a-f]{2}")
 
 

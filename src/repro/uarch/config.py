@@ -64,9 +64,6 @@ class UarchConfig:
     div_base_latency: int = 10
     #: operand-dependent part: one extra cycle per significant quotient bit
     div_per_bit_latency: int = 1
-    #: memory-disambiguator global reset interval; 0 (default) relies on
-    #: the per-PC counter decay only (see MemoryDisambiguator)
-    disambiguator_reset_interval: int = 0
 
     def division_latency(self, dividend: int, divisor: int) -> int:
         """Operand-dependent DIV latency: the §6.3 leak source.

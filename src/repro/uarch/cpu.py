@@ -130,9 +130,7 @@ class SpeculativeCPU:
         self.cond_predictor = ConditionalBranchPredictor()
         self.btb = BranchTargetBuffer()
         self.rsb = ReturnStackBuffer()
-        self.disambiguator = MemoryDisambiguator(
-            config.disambiguator_reset_interval
-        )
+        self.disambiguator = MemoryDisambiguator()
         self.lfb = LineFillBuffer()
         self.assist_pages: Set[int] = set()
         self.state = ArchState(self.layout, arch)

@@ -8,53 +8,39 @@ technique of §5.3 exploits exactly this.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class ConditionalBranchPredictor:
-    """A GShare-style predictor: two-bit saturating counters indexed by
-    (pc, global history).
+    """Two-bit saturating counters indexed by pc.
 
     Counter values 0-1 predict not-taken, 2-3 predict taken; unknown
-    (pc, history) contexts start weakly not-taken (1). The global history
-    register persists across runs — it is microarchitectural context that
-    earlier inputs of a priming sequence set for later ones.
+    pcs start weakly not-taken (1). The counters persist across runs —
+    microarchitectural context that earlier inputs of a priming
+    sequence set for later ones.
 
-    ``history_bits=0`` (the default) degenerates to plain per-PC two-bit
-    counters. That is the right model for the executor's repeated-
-    measurement scheme: with history enabled, a *fixed* priming sequence
-    is perfectly learnable, so after the warm-up pass the predictor stops
-    mispredicting and steady-state transient leakage disappears; per-PC
-    counters keep mispredicting at direction switches forever, like the
-    aliased and capacity-limited predictors of real parts. The history
-    variant is kept for the predictor ablation benchmark.
+    There is deliberately no global history. Per-PC counters are the
+    right model for the executor's repeated-measurement scheme: with
+    history, a *fixed* priming sequence is perfectly learnable, so
+    after the warm-up pass the predictor stops mispredicting and
+    steady-state transient leakage disappears; per-PC counters keep
+    mispredicting at direction switches forever, like the aliased and
+    capacity-limited predictors of real parts.
     """
 
-    def __init__(self, initial: int = 1, history_bits: int = 0):
-        if not 0 <= initial <= 3:
-            raise ValueError("two-bit counter must start in [0, 3]")
-        self._initial = initial
-        self._history_bits = history_bits
-        self._history_mask = (1 << history_bits) - 1
-        self._history = 0
-        self._counters: Dict[Tuple[int, int], int] = {}
-
-    def _key(self, pc: int) -> Tuple[int, int]:
-        return (pc, self._history)
+    def __init__(self):
+        self._counters: Dict[int, int] = {}
 
     def predict(self, pc: int) -> bool:
-        return self._counters.get(self._key(pc), self._initial) >= 2
+        return self._counters.get(pc, 1) >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        key = self._key(pc)
-        counter = self._counters.get(key, self._initial)
+        counter = self._counters.get(pc, 1)
         counter = min(3, counter + 1) if taken else max(0, counter - 1)
-        self._counters[key] = counter
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+        self._counters[pc] = counter
 
     def reset(self) -> None:
         self._counters.clear()
-        self._history = 0
 
 
 class BranchTargetBuffer:
@@ -109,17 +95,10 @@ class MemoryDisambiguator:
     and outlier filtering rely on.
     """
 
-    def __init__(self, reset_interval: int = 0):
-        # reset_interval kept for ablation experiments: when nonzero, the
-        # whole table is additionally cleared every N predictions.
-        self.reset_interval = reset_interval
+    def __init__(self):
         self._counters: Dict[int, int] = {}
-        self._predictions = 0
 
     def predict_no_alias(self, pc: int) -> bool:
-        self._predictions += 1
-        if self.reset_interval and self._predictions % self.reset_interval == 0:
-            self._counters.clear()
         counter = self._counters.get(pc, 0)
         prediction = counter < 2
         self._counters[pc] = max(0, counter - 1)  # decay toward "no alias"
@@ -132,7 +111,6 @@ class MemoryDisambiguator:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._predictions = 0
 
 
 __all__ = [

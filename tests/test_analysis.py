@@ -20,7 +20,6 @@ from repro.analysis import (
     SpeculationModel,
     TaintSeed,
     build_cfg,
-    compute_def_use,
     compute_liveness,
     compute_taint,
     eliminate_dead_flags,
@@ -28,8 +27,6 @@ from repro.analysis import (
     speculation_sources,
     speculative_ops,
 )
-from repro.analysis.defuse import ENTRY
-from repro.analysis.fence_advisor import advise_fences
 from repro.analysis.liveness import FLAG, REG
 from repro.analysis.metadata_lint import lint_architecture
 from repro.analysis.prescreen import (
@@ -305,45 +302,6 @@ class TestTaint:
         taint = compute_taint(cfg, TaintSeed.all_inputs(A64))
         assert taint.address_tainted(0, cfg.ops[0])
         assert taint.condition_tainted(2, cfg.ops[2])
-
-
-# -- reaching definitions / def-use -------------------------------------------
-
-
-class TestDefUse:
-    def test_chains_merge_across_branches(self):
-        _, compiled = _compiled(
-            X86,
-            """
-            MOV RAX, 1
-            JNZ .skip
-            MOV RAX, 2
-            .skip: MOV RBX, RAX
-            """,
-        )
-        cfg = build_cfg(compiled)
-        defuse = compute_def_use(cfg)
-        reaching = defuse.defs_of_use[3][(REG, "RAX")]
-        assert reaching == {(0, (REG, "RAX")), (2, (REG, "RAX"))}
-        assert defuse.uses_of_def(0) == {3}
-        assert defuse.uses_of_def(2) == {3}
-
-    def test_entry_definition_reaches_unwritten_uses(self):
-        _, compiled = _compiled(X86, "ADD RAX, RBX\n")
-        cfg = build_cfg(compiled)
-        defuse = compute_def_use(cfg)
-        assert defuse.defs_of_use[0][(REG, "RBX")] == {
-            (ENTRY, (REG, "RBX"))
-        }
-
-    def test_strong_kill_hides_older_def(self):
-        _, compiled = _compiled(
-            X86, "MOV RAX, 1\nMOV RAX, 2\nMOV RBX, RAX\n"
-        )
-        cfg = build_cfg(compiled)
-        defuse = compute_def_use(cfg)
-        assert defuse.defs_of_use[2][(REG, "RAX")] == {(1, (REG, "RAX"))}
-        assert defuse.uses_of_def(0) == frozenset()
 
 
 # -- dead-flag elimination ----------------------------------------------------
@@ -626,33 +584,3 @@ class TestMetadataLint:
         corrupted = replace(spec, operands=stripped)
         findings = lint_architecture(X86, trials=3, specs=[corrupted])
         assert any(f.invariant == "undeclared-read" for f in findings)
-
-
-# -- fence advisor ------------------------------------------------------------
-
-
-class TestFenceAdvisor:
-    def test_spectre_v1_advice_targets_the_leak(self):
-        entry = GALLERY["spectre-v1"]
-        program = entry.program()
-        compiled = compile_program(program, X86)
-        plan = advise_fences(compiled, program)
-        assert not plan.empty
-        # the speculative load (linear pc 2) is the leaking access, fed
-        # by the AND masking its index (linear pc 1)
-        assert plan.leak_ops == (2,)
-        assert 1 in plan.feeding_defs
-        blocks = program.blocks
-        for block_index, body_index in plan.positions:
-            assert 0 <= block_index < len(blocks)
-            assert 0 <= body_index <= len(blocks[block_index].body)
-
-    def test_no_advice_without_speculative_leaks(self):
-        program, compiled = _compiled(X86, "MOV RAX, 1\nADD RAX, RBX\n")
-        assert advise_fences(compiled, program).empty
-
-    def test_no_advice_with_unresolved_flow(self):
-        program, compiled = _compiled(
-            X86, "MOV RBX, .t1\nJMP RBX\n.t1: NOP\n"
-        )
-        assert advise_fences(compiled, program).empty

@@ -126,6 +126,36 @@ class TestMinimization:
         )
         assert lfences == count
 
+    def test_fences_probe_every_body_slot_once_last_first(
+        self, pipeline, violating_case
+    ):
+        """§5.7 order: each block's ``len(body) + 1`` insertion points
+        are probed exactly once, from the last slot backwards."""
+        program, inputs = violating_case
+        postprocessor = Postprocessor(pipeline)
+        probed = []
+
+        def record(candidate, _inputs):
+            probed.extend(
+                (block_index, body_index)
+                for block_index, block in enumerate(candidate.blocks)
+                for body_index, instruction in enumerate(block.body)
+                if instruction.mnemonic == "LFENCE"
+            )
+            return False  # no fence survives: every probe sees one fence
+
+        postprocessor._violates = record
+        fenced, count = postprocessor.insert_fences(program, inputs)
+        slots = [
+            (block_index, body_index)
+            for block_index, block in enumerate(program.blocks)
+            for body_index in range(len(block.body) + 1)
+        ]
+        assert len(program.blocks) > 1
+        assert probed == slots[::-1]
+        assert count == 0
+        assert render_program(fenced) == render_program(program)
+
     def test_fully_fenced_program_is_clean(self, pipeline, violating_case):
         """Sanity: LFENCE before the leaking load kills the violation —
         the mechanism stage 3 relies on."""

@@ -199,7 +199,7 @@ class TestPrimingSwap:
             executor = Executor(skylake(), PRIME_PROBE, layout)
             captured = []
 
-            def record(linear, sequence, fresh_context=True):
+            def record(linear, sequence):
                 captured.append(list(sequence))
                 return [HTrace.empty() for _ in sequence]
 

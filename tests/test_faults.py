@@ -163,12 +163,43 @@ class TestFaultPlan:
         monkeypatch.delenv(faults.ENV_SPEC)
         assert faults.active_plan() is None
 
+    def test_env_seed_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=faults.ENV_SEED):
+            faults.FaultPlan.from_env({
+                faults.ENV_SPEC: "trace_cache.read=1",
+                faults.ENV_SEED: "abc",
+            })
+
     def test_injected_context_manager_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_SPEC, "trace_cache.read=1")
         with faults.injected(plan("journal.publish=1")) as installed:
             assert faults.active_plan() is installed
             assert not faults.should_fire("trace_cache.read")
         assert faults.active_plan() is not installed
+
+    @pytest.mark.parametrize("command", [
+        ["fuzz"],
+        ["fuzz", "--cache-dir", "cache"],
+        ["campaign", "--journal", "journal"],
+    ])
+    def test_cli_rejects_a_bad_env_plan_before_the_run(
+        self, command, tmp_path
+    ):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        env[faults.ENV_SPEC] = "trace_cache.gc=1"  # a retired site
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", *command,
+             "-s", "AR", "-n", "3", "-i", "5"],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert child.returncode == 2
+        assert "Traceback" not in child.stderr
+        assert "unknown fault site 'trace_cache.gc'" in child.stderr
+        assert os.listdir(tmp_path) == []  # nothing ran
 
 
 class TestRetryPolicy:

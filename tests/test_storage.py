@@ -97,6 +97,33 @@ class TestRecordStore:
         store.sweep_orphans()  # no grace: every temp file goes
         assert not fresh.exists() and record.exists()
 
+    @staticmethod
+    def _temp_files(directory):
+        """An aged and a fresh temp file in ``directory``."""
+        stale = directory / (TEMP_PREFIX + "killed-writer")
+        fresh = directory / (TEMP_PREFIX + "in-flight")
+        for path in (stale, fresh):
+            path.write_bytes(b"partial")
+        old = os.path.getmtime(stale) - 2 * storage.ORPHAN_GRACE_SECONDS
+        os.utime(stale, (old, old))
+        return stale, fresh
+
+    def test_journal_resume_sweeps_aged_temp_files(self, tmp_path):
+        payload = {"kind": "test"}
+        CampaignJournal(str(tmp_path)).open(payload)
+        stale, fresh = self._temp_files(tmp_path)
+        CampaignJournal(str(tmp_path)).open(payload, resume=True)
+        assert not stale.exists()
+        assert fresh.exists()
+
+    def test_service_state_sweeps_aged_temp_files(self, tmp_path):
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        stale, fresh = self._temp_files(jobs_dir)
+        ServiceState(str(tmp_path))
+        assert not stale.exists()
+        assert fresh.exists()
+
 
 # -- what a torn record becomes, owner by owner ------------------------
 

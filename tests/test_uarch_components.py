@@ -114,11 +114,6 @@ class TestConditionalPredictor:
         predictor.update(0, True)
         assert predictor.predict(1) is False
 
-    def test_history_mode_distinguishes_contexts(self):
-        predictor = ConditionalBranchPredictor(history_bits=2)
-        predictor.update(0, True)   # history 0 -> counter trained taken
-        assert predictor.predict(0) is False  # history changed: fresh context
-
     def test_reset(self):
         predictor = ConditionalBranchPredictor()
         predictor.update(0, True)
@@ -176,15 +171,6 @@ class TestMemoryDisambiguator:
             if prediction:
                 disambiguator.update(0, aliased=True)
         assert outcomes == [True, False, True, False, True, False]
-
-    def test_global_reset_interval(self):
-        disambiguator = MemoryDisambiguator(reset_interval=3)
-        disambiguator.update(0, aliased=True)
-        disambiguator.update(0, aliased=True)
-        disambiguator.predict_no_alias(0)
-        disambiguator.predict_no_alias(0)
-        # third prediction triggers the periodic table reset
-        assert disambiguator.predict_no_alias(0)
 
 
 class TestLFB:

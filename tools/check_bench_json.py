@@ -467,8 +467,6 @@ FORBIDDEN_IN_DETERMINISTIC: Set[str] = {
     "observed_concurrency",
     "trace_cache_hits",
     "trace_cache_disk_hits",
-    "trace_cache_gc_evictions",
-    "trace_cache_gc_bytes",
     "cancelled_shards",
 }
 
