@@ -14,14 +14,21 @@ lines prime put there, in prime's order, so it needs no refill and shows
 no eviction. Victims never reference the negative attacker tags, so for
 them the record is just the sets their lines map to.
 
-Flush+Reload and Evict+Reload walk the monitored region once per
-measurement; ``evict_region`` and ``cached_lines`` iterate over its line
-numbers with the set lookup inline.
+Flush+Reload and Evict+Reload cost what the cache holds, not the
+monitored region's size. ``evict_region`` and ``cached_lines`` scan the
+non-empty sets for region lines, and between measurements those hold
+only the few lines the victim loaded since the last eviction. A line
+counts only in its home set (``tag % num_sets``), where ``access`` puts
+every line, so the scan finds exactly the lines a walk over the region
+would. Only the negative attacker tags ``prime`` places can sit outside
+their home set, and only a region that reaches below address 0 holds
+their line numbers.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from itertools import compress
+from typing import List, Set, Tuple
 
 
 class L1DCache:
@@ -103,31 +110,31 @@ class L1DCache:
             if sum(1 for tag in sets[index] if tag < 0) < ways
         }
 
-    def _region_lines(self, base: int, size: int) -> range:
-        """Line numbers (= tags) of the lines ``[base, base + size)``
-        overlaps; an unaligned base with size 0 still names its line."""
-        line_size = self.line_size
-        return range(base // line_size, (base + size - 1) // line_size + 1)
+    def _held_region_lines(self, base: int, size: int) -> List[Tuple[int, int]]:
+        """``(set, tag)`` of every cached line that ``[base, base + size)``
+        overlaps; an unaligned base with size 0 still names its line.
+        Scans the non-empty sets and counts a tag only in its home set."""
+        line_size, num_sets, sets = self.line_size, self.num_sets, self._sets
+        first, stop = base // line_size, (base + size - 1) // line_size + 1
+        return [
+            (index, tag)
+            for index in compress(range(num_sets), sets)
+            for tag in sets[index]
+            if first <= tag < stop and tag % num_sets == index
+        ]
 
     def evict_region(self, base: int, size: int) -> None:
         """Evict+Reload preparation: evict every line of a memory region.
         A set counts as touched only when a line actually leaves it."""
-        sets, num_sets, touched = self._sets, self.num_sets, self._touched
-        for tag in self._region_lines(base, size):
-            index = tag % num_sets
-            lines = sets[index]
-            if tag in lines:
-                lines.remove(tag)
-                touched.add(index)
+        sets, touched = self._sets, self._touched
+        for index, tag in self._held_region_lines(base, size):
+            sets[index].remove(tag)
+            touched.add(index)
 
     def cached_lines(self, base: int, size: int) -> Set[int]:
         """Flush/Evict+Reload probe: indices of region lines that are cached."""
-        sets, num_sets = self._sets, self.num_sets
-        region = self._region_lines(base, size)
-        first_line = region.start
-        return {
-            tag - first_line for tag in region if tag in sets[tag % num_sets]
-        }
+        first_line = base // self.line_size
+        return {tag - first_line for _, tag in self._held_region_lines(base, size)}
 
     def snapshot_tags(self) -> List[List[int]]:
         """Copy of the full tag state (tests and diagnostics)."""

@@ -9,16 +9,20 @@ on both ISAs and under every executor mode. The harness is
 ``TestingPipeline.check_violation(..., confirm=True)`` over 50
 generated inputs; its positive twin, the spectre-v1 gadget under P+P,
 F+R and E+R, shows the same harness does fire.
+
+The conformance cells at the end pin whole campaigns against a CPU
+whose speculation the contract does or does not cover.
 """
 
 import pytest
 
 from repro.arch import get_architecture
 from repro.core.config import FuzzerConfig
-from repro.core.fuzzer import TestingPipeline
+from repro.core.fuzzer import Fuzzer, TestingPipeline
 from repro.core.input_gen import InputGenerator
 from repro.executor.modes import mode_names
 from repro.gallery import GALLERY
+from repro.uarch.config import skylake
 
 
 def _jump_chain(branch, length=10):
@@ -98,3 +102,52 @@ def test_stays_silent(arch_name, shape, mode):
 @pytest.mark.parametrize("mode", ["P+P", "F+R", "E+R"])
 def test_positive_twin_fires(mode):
     assert _check("x86_64", GALLERY["spectre-v1"].asm, mode) is not None
+
+
+#: skylake with conditional-branch speculation as its only mechanism
+CONDITIONAL_ONLY = skylake().with_overrides(
+    indirect_branch_speculation=False,
+    return_stack_speculation=False,
+    store_bypass=False,
+)
+
+
+@pytest.mark.parametrize(
+    "arch_name, contract_name, speculation_window, violates",
+    [
+        ("x86_64", "CT-COND", 250, False),
+        ("aarch64", "CT-COND", 250, False),
+        ("x86_64", "CT-SEQ", 250, True),
+        ("aarch64", "CT-SEQ", 250, True),
+        # a deliberate model mismatch: the contract's window is shorter
+        # than the CPU's, so its speculative traces miss real leaks
+        ("x86_64", "CT-COND", 2, True),
+    ],
+)
+def test_conformance_cell(arch_name, contract_name, speculation_window, violates):
+    """A conformance-matrix cell: a conditional-only CPU under
+    Flush+Reload stays clean against CT-COND, which models exactly its
+    speculation, over 40 test cases, and its twins, CT-SEQ (no
+    speculation modelled) and CT-COND with a shrunk window, report V1
+    within the same budget. F+R stands in for E+R too: the executor
+    prepares and probes both through ``evict_region`` and
+    ``cached_lines``. A simulator is useful only once it is checked
+    against known expected behaviour (the RIKEN Post-K simulator
+    evaluation, PAPERS.md); these cells check the CPU model against the
+    contract that should and the ones that should not describe it."""
+    report = Fuzzer(FuzzerConfig(
+        arch=arch_name,
+        contract_name=contract_name,
+        cpu_config=CONDITIONAL_ONLY,
+        executor_mode="F+R",
+        num_test_cases=40,
+        inputs_per_test_case=50,
+        speculation_window=speculation_window,
+        seed=5,
+    )).run()
+    if violates:
+        assert report.violation is not None
+        assert report.violation.classification.startswith("V1")
+    else:
+        assert report.violation is None
+        assert report.test_cases == 40

@@ -379,7 +379,7 @@ class TestTouchedSetPrimeProbe:
     @example(scenario=((1, 2, 64), [("prime",), ("access", -128), ("prime",)]))
     @example(scenario=((1, 2, 64), [("prime",), ("flush_line", -64), ("probe",)]))
     @example(scenario=((4, 3, 64), [("prime",), ("flush_all",), ("prime",)]))
-    # region walks at their edges: an unaligned base with size 0 still
+    # regions at their edges: an unaligned base with size 0 still
     # covers its own line, as does size 1, and a region may straddle 0
     @example(scenario=((4, 3, 64), [
         ("access", 0x10040), ("cached_lines", 0x10041, 0),
@@ -393,6 +393,15 @@ class TestTouchedSetPrimeProbe:
         ("access", -64), ("access", 0), ("access", 64),
         ("cached_lines", -100, 200), ("evict_region", -100, 200),
         ("cached_lines", -128, 256), ("probe",),
+    ]))
+    # the region scan at its edges: a primed attacker tag held outside
+    # its home set is neither a region line nor evicted with the region,
+    # and eviction leaves a line outside the region that shares the set
+    @example(scenario=((2, 1, 64), [("prime",), ("cached_lines", -64, 1)]))
+    @example(scenario=((2, 1, 64), [("prime",), ("flush_line", -64)]))
+    @example(scenario=((4, 3, 64), [
+        ("access", 0), ("access", 256), ("evict_region", 0, 64),
+        ("cached_lines", 0, 512),
     ]))
     def test_matches_full_rebuild(self, scenario):
         geometry, ops = scenario
